@@ -50,9 +50,10 @@ fn bench_budget_regimes(c: &mut Criterion) {
 }
 
 fn bench_horizon_planning(c: &mut Criterion) {
-    // The 24-hour lookahead LP (24 * (N+3) variables) from the
-    // `reap-core` horizon planner: how much does joint planning cost
-    // compared to 24 independent solves?
+    // The 24-hour lookahead plan from the `reap-core` horizon planner (a
+    // taut string through the battery tube, read off one frontier): how
+    // much does joint planning cost compared to 24 independent simplex
+    // solves?
     use reap_core::plan_horizon;
     let mut group = c.benchmark_group("horizon_planning");
     group.sample_size(20);

@@ -151,6 +151,11 @@ impl PlanFrontier {
             .collect()
     }
 
+    /// The first breakpoint, the budget floor `P_off * TP`, in joules.
+    pub(crate) fn floor_j(&self) -> f64 {
+        self.min_budget_j
+    }
+
     /// Number of frontier segments (breakpoints minus one).
     #[must_use]
     pub fn segments(&self) -> usize {

@@ -4,12 +4,15 @@
 //! energy-allocation layer derived from harvest expectations (the paper
 //! cites Kansal et al. and Bhat et al. for that layer). This module closes
 //! the loop *optimally*: given a harvest **forecast** over `H` periods and
-//! a battery, it solves one joint LP that chooses every period's
-//! allocations and the battery trajectory at once — the upper bound any
-//! per-period allocation policy can hope to reach, used as an ablation
-//! baseline by the benchmark harness.
+//! a battery, it chooses every period's allocations and the battery
+//! trajectory at once — the upper bound any per-period allocation policy
+//! can hope to reach, used as an ablation baseline by the benchmark
+//! harness and re-solved every period by the receding-horizon controller.
 //!
-//! Model (per period `h`, with battery level `b_h`, spill `s_h`):
+//! # Specification
+//!
+//! The plan is an optimum of the joint LP (per period `h`, with battery
+//! level `b_h`, spill `s_h`):
 //!
 //! ```text
 //! maximize   sum_h sum_i w_i t_{h,i}
@@ -24,16 +27,60 @@
 //! simulator still applies them at execution time); this keeps the program
 //! linear and errs on the optimistic side, which is the right bias for an
 //! upper-bound baseline.
+//!
+//! # Solution: the taut string
+//!
+//! The LP is never built. Three facts make it a path problem:
+//!
+//! * For a fixed consumption `c_h`, period `h`'s best value is the REAP
+//!   LP's value at budget `c_h` — the concave, non-decreasing
+//!   [`PlanFrontier`] — and it is the same function in every period.
+//! * Spill is free, so the value of the *outflow* `o_h = c_h + s_h` is the
+//!   frontier capped at its last breakpoint: still concave and
+//!   non-decreasing, and any `o_h >= F = P_off * TP` is admissible.
+//! * The lossless battery is the only coupling between periods.
+//!
+//! **The tube.** Let `Y_j = o_1 + .. + o_j - j F` be the cumulative
+//! outflow above the floor (`Y_0 = 0`) and `U_j = b_{-1} + E_1 + .. + E_j
+//! - j F`. The battery level after period `j` is `U_j - Y_j`, so
+//! `0 <= b_j <= capacity` reads `U_j - capacity <= Y_j <= U_j`, and the
+//! per-period floor `o_j >= F` makes `Y` non-decreasing.
+//!
+//! **Floor envelopes.** A non-decreasing `Y` below every later `U_k` and
+//! above every earlier lower bound lies in the tighter tube
+//! `lower_j = max(0, max_{k<=j} (U_k - capacity))` (prefix max) to
+//! `upper_j = min_{k>=j} U_k` (suffix min). Both envelopes are
+//! non-decreasing, so the floor constraint is encoded in the tube itself.
+//!
+//! **Infeasibility.** If `lower_j > upper_j` for some `j`, no outflow path
+//! pays every period's floor: the window is starved and the result is
+//! [`ReapError::InfeasibleHorizon`]. Otherwise `lower` itself is a feasible
+//! path.
+//!
+//! **The path.** Outflow value is non-decreasing, so the path ends at the
+//! top of the last column, `Y_H = upper_H`. Between `(0, 0)` and that
+//! end, the taut string — the shortest path through the tube — maximizes
+//! the sum of *every* concave function of the increments at once, so it
+//! is optimal without consulting the frontier. A funnel scan finds it in
+//! `O(H^2)` worst case (`H <= 24` for the controller).
+//!
+//! **Tie-break.** The joint LP usually has many optima (any reshuffling
+//! of energy between periods on the same frontier segment ties). The taut
+//! string picks the most uniform one: consumption is constant between the
+//! points where the string touches the tube.
+//!
+//! **Schedules.** Period `j`'s outflow `F + Y_j - Y_{j-1}` becomes its
+//! schedule through [`PlanFrontier::solve`], which saturates at the
+//! frontier's last breakpoint; the excess is reported as spill.
 
-// Index-based loops below mirror the textbook linear-algebra notation;
-// iterator rewrites would obscure the row/column structure.
-#![allow(clippy::needless_range_loop)]
-
-use reap_lp::{LpProblem, LpStatus, Relation};
 use reap_units::{Energy, TimeSpan};
 
-use crate::schedule::Allocation;
+use crate::frontier::PlanFrontier;
 use crate::{ReapError, ReapProblem, Schedule};
+
+/// How far (J) the floor envelopes may cross before a window counts as
+/// starved: float dust from summing the forecast, not a real deficit.
+const CROSSING_TOLERANCE_J: f64 = 1e-9;
 
 /// The output of [`plan_horizon`]: one schedule per forecast period plus
 /// the planned battery trajectory.
@@ -65,19 +112,35 @@ impl HorizonPlan {
 }
 
 /// Jointly plans `forecast.len()` periods with full knowledge of the
-/// forecast and the battery.
+/// forecast and the battery (see the module docs for the model and the
+/// taut-string solution).
 ///
 /// # Errors
 ///
-/// * [`ReapError::InvalidParameter`] for an empty forecast, negative
-///   forecast energies, or a battery state outside `[0, capacity]`.
+/// * [`ReapError::InvalidParameter`] for an empty forecast, negative or
+///   non-finite forecast energies, or a battery state that is not finite
+///   or lies outside `[0, capacity]`.
 /// * [`ReapError::InfeasibleHorizon`] when the battery plus the forecast
 ///   cannot pay every period's off-state floor `P_off * TP` (a starved
 ///   window).
-/// * [`ReapError::Lp`] / [`ReapError::SolverInconsistency`] if the solver
-///   fails numerically (pathological inputs only).
 pub fn plan_horizon(
     problem: &ReapProblem,
+    forecast: &[Energy],
+    battery_level: Energy,
+    battery_capacity: Energy,
+) -> Result<HorizonPlan, ReapError> {
+    plan_on_frontier(
+        &problem.frontier(),
+        forecast,
+        battery_level,
+        battery_capacity,
+    )
+}
+
+/// [`plan_horizon`] on a prebuilt frontier of the problem, so a caller
+/// that re-plans every period builds the frontier once.
+pub(crate) fn plan_on_frontier(
+    frontier: &PlanFrontier,
     forecast: &[Energy],
     battery_level: Energy,
     battery_capacity: Energy,
@@ -92,6 +155,7 @@ pub fn plan_horizon(
     }
     if !battery_capacity.is_finite()
         || battery_capacity.joules() <= 0.0
+        || !battery_level.is_finite()
         || battery_level.is_negative()
         || battery_level > battery_capacity
     {
@@ -100,103 +164,27 @@ pub fn plan_horizon(
         )));
     }
 
-    let horizon = forecast.len();
-    let n = problem.points().len();
-    let tp = problem.period().seconds();
-    let alpha = problem.alpha();
+    let floor = frontier.floor_j();
+    let capacity = battery_capacity.joules();
+    let (lower, upper) = tube(forecast, battery_level.joules(), capacity, floor)?;
+    let path = taut_string(&lower, &upper);
 
-    // Variable layout per period h (stride = n + 3):
-    //   [t_{h,1} .. t_{h,N}, t_off_h, b_h, s_h]
-    let stride = n + 3;
-    let t_off_at = |h: usize| h * stride + n;
-    let b_at = |h: usize| h * stride + n + 1;
-    let s_at = |h: usize| h * stride + n + 2;
-    let total_vars = horizon * stride;
-
-    // Objective: normalized weights on the t variables.
-    let weights: Vec<f64> = problem.points().iter().map(|p| p.weight(alpha)).collect();
-    let w_max = weights.iter().cloned().fold(0.0f64, f64::max);
-    let scale = if w_max > 0.0 { 1.0 / (w_max * tp) } else { 1.0 };
-    let mut objective = vec![0.0; total_vars];
-    for h in 0..horizon {
-        for (i, w) in weights.iter().enumerate() {
-            objective[h * stride + i] = w * scale;
-        }
-    }
-    let mut lp = LpProblem::try_new_maximize(&objective)?;
-
-    let powers: Vec<f64> = problem.points().iter().map(|p| p.power().watts()).collect();
-    let p_off = problem.off_power().watts();
-
-    for h in 0..horizon {
-        // Time budget of the period.
-        let mut time_row = vec![0.0; total_vars];
-        for i in 0..n {
-            time_row[h * stride + i] = 1.0;
-        }
-        time_row[t_off_at(h)] = 1.0;
-        lp.subject_to(&time_row, Relation::Eq, tp)?;
-
-        // Battery dynamics: b_h - b_{h-1} + c_h + s_h = E_h.
-        let mut dyn_row = vec![0.0; total_vars];
-        for i in 0..n {
-            dyn_row[h * stride + i] = powers[i];
-        }
-        dyn_row[t_off_at(h)] = p_off;
-        dyn_row[b_at(h)] = 1.0;
-        dyn_row[s_at(h)] = 1.0;
-        let mut rhs = forecast[h].joules();
-        if h == 0 {
-            rhs += battery_level.joules();
-        } else {
-            dyn_row[b_at(h - 1)] = -1.0;
-        }
-        lp.subject_to(&dyn_row, Relation::Eq, rhs)?;
-
-        // Battery cap.
-        let mut cap_row = vec![0.0; total_vars];
-        cap_row[b_at(h)] = 1.0;
-        lp.subject_to(&cap_row, Relation::Le, battery_capacity.joules())?;
-    }
-
-    let solution = lp.solve()?;
-    match solution.status() {
-        LpStatus::Optimal => {}
-        // Every period owes the off-state floor `P_off * TP`, so a dark
-        // window with a dead battery is genuinely infeasible (a starved
-        // device, not a solver bug) — report it as such.
-        LpStatus::Infeasible => return Err(ReapError::InfeasibleHorizon),
-        status => {
-            // The objective is bounded by full-time top-point operation,
-            // so any other status means numerical trouble.
-            return Err(ReapError::SolverInconsistency(format!(
-                "horizon lp reported {status}"
-            )));
-        }
-    }
-    let values = solution.values();
-
-    let mut schedules = Vec::with_capacity(horizon);
-    let mut battery_trajectory = Vec::with_capacity(horizon);
-    let mut spills = Vec::with_capacity(horizon);
-    for h in 0..horizon {
-        let allocations = problem
-            .points()
-            .iter()
-            .enumerate()
-            .map(|(i, p)| Allocation {
-                point: p.clone(),
-                duration: TimeSpan::from_seconds(values[h * stride + i]),
-            })
-            .collect();
-        schedules.push(Schedule::new(
-            allocations,
-            TimeSpan::from_seconds(values[t_off_at(h)]),
-            problem.period(),
-            problem.off_power(),
-        ));
-        battery_trajectory.push(Energy::from_joules(values[b_at(h)].max(0.0)));
-        spills.push(Energy::from_joules(values[s_at(h)].max(0.0)));
+    let mut schedules = Vec::with_capacity(forecast.len());
+    let mut battery_trajectory = Vec::with_capacity(forecast.len());
+    let mut spills = Vec::with_capacity(forecast.len());
+    let mut level = battery_level.joules();
+    for (harvest, step) in forecast.iter().zip(path.windows(2)) {
+        let outflow = floor + (step[1] - step[0]).max(0.0);
+        // The frontier saturates at its last breakpoint. Whatever the
+        // schedule does not burn is spilled, including the float dust of
+        // its sub-microsecond allocation drop, so the trajectory below
+        // stays exact.
+        let schedule = frontier.solve(Energy::from_joules(outflow))?;
+        let spill = (outflow - schedule.energy().joules()).max(0.0);
+        level = (level + harvest.joules() - outflow).clamp(0.0, capacity);
+        schedules.push(schedule);
+        battery_trajectory.push(Energy::from_joules(level));
+        spills.push(Energy::from_joules(spill));
     }
     Ok(HorizonPlan {
         schedules,
@@ -205,7 +193,100 @@ pub fn plan_horizon(
     })
 }
 
+/// The floor-enveloped tube `(lower, upper)` of the cumulative outflow
+/// above the floor, indexed `0..=H` with both ends pinned: `Y_0 = 0` and
+/// `Y_H = upper_H`.
+///
+/// # Errors
+///
+/// [`ReapError::InfeasibleHorizon`] when the envelopes cross.
+fn tube(
+    forecast: &[Energy],
+    level: f64,
+    capacity: f64,
+    floor: f64,
+) -> Result<(Vec<f64>, Vec<f64>), ReapError> {
+    let mut upper = Vec::with_capacity(forecast.len() + 1);
+    let mut lower = Vec::with_capacity(forecast.len() + 1);
+    upper.push(0.0);
+    lower.push(0.0);
+    let mut top = level;
+    let mut bottom = 0.0f64;
+    for harvest in forecast {
+        top += harvest.joules() - floor;
+        bottom = bottom.max(top - capacity);
+        upper.push(top);
+        lower.push(bottom);
+    }
+    // Suffix min over periods 1..=H; `Y_0 = 0` is pinned separately.
+    for j in (1..forecast.len()).rev() {
+        upper[j] = upper[j].min(upper[j + 1]);
+    }
+    for (lo, &hi) in lower.iter_mut().zip(&upper) {
+        if *lo > hi + CROSSING_TOLERANCE_J {
+            return Err(ReapError::InfeasibleHorizon);
+        }
+        *lo = lo.min(hi);
+    }
+    let end = forecast.len();
+    lower[end] = upper[end];
+    Ok((lower, upper))
+}
+
+/// The taut string through `lower[j] <= y[j] <= upper[j]` between the
+/// pinned ends `y[0]` and `y[H] = upper[H]`.
+///
+/// Funnel scan: from the current vertex, walk forward keeping the cone of
+/// slopes that clear every lower bound and stay under every upper bound
+/// seen so far. When a new column falls outside the cone, the string
+/// bends at the contact that set the violated side of the cone and the
+/// scan restarts there.
+fn taut_string(lower: &[f64], upper: &[f64]) -> Vec<f64> {
+    let end = upper.len() - 1;
+    let mut path = vec![0.0; end + 1];
+    let mut from = 0;
+    while from < end {
+        let y0 = path[from];
+        let (mut floor_slope, mut floor_at) = (f64::NEG_INFINITY, from);
+        let (mut ceil_slope, mut ceil_at) = (f64::INFINITY, from);
+        let mut bend = None;
+        for j in from + 1..=end {
+            let run = (j - from) as f64;
+            let to_lower = (lower[j] - y0) / run;
+            let to_upper = (upper[j] - y0) / run;
+            if to_lower > ceil_slope {
+                // The string must rise above the ceiling contact: bend
+                // down there.
+                bend = Some((ceil_at, upper[ceil_at]));
+                break;
+            }
+            if to_upper < floor_slope {
+                // The string must dip below the floor contact: bend up
+                // there.
+                bend = Some((floor_at, lower[floor_at]));
+                break;
+            }
+            if to_lower >= floor_slope {
+                (floor_slope, floor_at) = (to_lower, j);
+            }
+            if to_upper <= ceil_slope {
+                (ceil_slope, ceil_at) = (to_upper, j);
+            }
+        }
+        let (to, y1) = bend.unwrap_or((end, upper[end]));
+        let slope = (y1 - y0) / (to - from) as f64;
+        for (step, y) in path[from + 1..to].iter_mut().enumerate() {
+            *y = y0 + slope * (step + 1) as f64;
+        }
+        path[to] = y1;
+        from = to;
+    }
+    path
+}
+
 #[cfg(test)]
+// The trajectory checks walk periods by index, as the model is written.
+#[allow(clippy::needless_range_loop)]
 mod tests {
     use super::*;
     use crate::OperatingPoint;
@@ -245,6 +326,18 @@ mod tests {
         assert!(plan_horizon(&p, &[joules(-1.0)], joules(0.0), joules(60.0)).is_err());
         assert!(plan_horizon(&p, &[joules(1.0)], joules(70.0), joules(60.0)).is_err());
         assert!(plan_horizon(&p, &[joules(1.0)], joules(0.0), joules(0.0)).is_err());
+    }
+
+    #[test]
+    fn rejects_non_finite_battery_level_up_front() {
+        let p = paper_problem(1.0);
+        for level in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let result = plan_horizon(&p, &[joules(1.0); 3], joules(level), joules(60.0));
+            assert!(
+                matches!(result, Err(ReapError::InvalidParameter(_))),
+                "level {level}: {result:?}"
+            );
+        }
     }
 
     #[test]

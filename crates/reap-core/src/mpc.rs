@@ -1,11 +1,13 @@
 //! The receding-horizon (MPC) runtime controller.
 //!
-//! [`plan_horizon`] solves the joint multi-period LP — the offline upper
+//! [`plan_horizon`] solves the joint multi-period plan — the offline upper
 //! bound. This module promotes it into a **runtime policy**: each period
 //! the controller receives a harvest *forecast* window and the current
-//! battery state, solves the joint LP over the window, executes only the
-//! first period's schedule, and re-plans next period with the window slid
-//! forward (receding horizon / model-predictive control).
+//! battery state, plans the window jointly, executes only the first
+//! period's schedule, and re-plans next period with the window slid
+//! forward (receding horizon / model-predictive control). The plan is the
+//! taut string through the window's battery tube (see [`plan_horizon`]),
+//! evaluated on a [`PlanFrontier`] the controller builds once.
 //!
 //! Two practicalities separate this from naively calling [`plan_horizon`]
 //! in a loop:
@@ -20,17 +22,20 @@
 //!   optimal and is executed without re-solving. Any deviation (new
 //!   forecast entries, forecast revisions, brownouts) triggers a fresh
 //!   solve.
-//! * **Starvation fallback.** The joint LP forces every period to pay the
+//! * **Starvation fallback.** The joint plan forces every period to pay the
 //!   off-state floor `P_off * TP`; a dark window with a dead battery
 //!   makes it infeasible. A real device cannot throw an error at
 //!   midnight, so the controller falls back to the all-off schedule (the
 //!   engine's brownout accounting then records the shortfall honestly).
+//!
+//! [`plan_horizon`]: crate::plan_horizon
 
 use std::collections::VecDeque;
 
 use reap_units::Energy;
 
-use crate::horizon::plan_horizon;
+use crate::frontier::PlanFrontier;
+use crate::horizon::plan_on_frontier;
 use crate::schedule::Schedule;
 use crate::{ReapError, ReapProblem};
 
@@ -72,6 +77,7 @@ struct PendingPlan {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecedingHorizonController {
     problem: ReapProblem,
+    frontier: PlanFrontier,
     lookahead: usize,
     pending: Option<PendingPlan>,
     solves: u64,
@@ -95,6 +101,7 @@ impl RecedingHorizonController {
             ));
         }
         Ok(RecedingHorizonController {
+            frontier: problem.frontier(),
             problem,
             lookahead,
             pending: None,
@@ -116,7 +123,7 @@ impl RecedingHorizonController {
         self.lookahead
     }
 
-    /// How many joint LPs have been solved so far.
+    /// How many horizon plans have been solved so far.
     #[must_use]
     pub fn solves(&self) -> u64 {
         self.solves
@@ -142,12 +149,10 @@ impl RecedingHorizonController {
     ///
     /// # Errors
     ///
-    /// * [`ReapError::InvalidParameter`] for an empty forecast, negative
-    ///   or non-finite forecast energies, or a battery state outside
-    ///   `[0, capacity]`.
-    /// * [`ReapError::Lp`] / [`ReapError::SolverInconsistency`] only on
-    ///   numerical failure; infeasible (starved) windows are handled by
-    ///   the all-off fallback, not an error.
+    /// [`ReapError::InvalidParameter`] for an empty forecast, negative or
+    /// non-finite forecast energies, or a battery state that is not finite
+    /// or lies outside `[0, capacity]`. Infeasible (starved) windows are
+    /// handled by the all-off fallback, not an error.
     pub fn plan(
         &mut self,
         forecast: &[Energy],
@@ -164,7 +169,7 @@ impl RecedingHorizonController {
             return Ok(schedule);
         }
 
-        match plan_horizon(&self.problem, window, battery_level, battery_capacity) {
+        match plan_on_frontier(&self.frontier, window, battery_level, battery_capacity) {
             Ok(plan) => {
                 self.solves += 1;
                 let mut schedules: VecDeque<Schedule> = plan.schedules.into();
@@ -189,8 +194,7 @@ impl RecedingHorizonController {
                 self.pending = None;
                 self.problem.solve(self.problem.min_budget())
             }
-            // Invalid inputs are caller bugs and anything else is
-            // genuine numerical trouble; both must surface, not be
+            // Invalid inputs are caller bugs: they must surface, not be
             // papered over with a dark device.
             Err(e) => Err(e),
         }
@@ -222,7 +226,7 @@ impl RecedingHorizonController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::horizon::HorizonPlan;
+    use crate::horizon::{plan_horizon, HorizonPlan};
     use crate::OperatingPoint;
     use reap_units::Power;
 
@@ -260,6 +264,22 @@ mod tests {
         assert!(c.plan(&[joules(-1.0)], joules(0.0), joules(60.0)).is_err());
         assert!(c.plan(&[joules(1.0)], joules(99.0), joules(60.0)).is_err());
         assert_eq!(c.lookahead(), 4);
+    }
+
+    #[test]
+    fn rejects_non_finite_battery_level() {
+        let mut c = RecedingHorizonController::new(paper_problem(), 4).unwrap();
+        let forecast = [joules(3.0), joules(1.0), joules(0.5)];
+        // A cached tail must not hide the bad level either.
+        let _ = c.plan(&forecast, joules(5.0), joules(60.0)).unwrap();
+        for level in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let result = c.plan(&forecast[1..], joules(level), joules(60.0));
+            assert!(
+                matches!(result, Err(ReapError::InvalidParameter(_))),
+                "level {level}: {result:?}"
+            );
+        }
+        assert_eq!(c.fallbacks(), 0);
     }
 
     #[test]

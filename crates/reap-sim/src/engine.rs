@@ -16,11 +16,11 @@ pub enum Policy {
     Reap,
     /// A single static design point, duty-cycled against the budget.
     Static(u8),
-    /// The receding-horizon (MPC) policy: each hour, plan a joint LP over
-    /// a `lookahead`-hour harvest forecast (from the scenario's
+    /// The receding-horizon (MPC) policy: each hour, jointly plan a
+    /// `lookahead`-hour harvest forecast (from the scenario's
     /// [`ForecasterKind`](crate::ForecasterKind)), execute only the first
     /// hour, re-plan next hour. Bypasses the budget-allocation layer —
-    /// the joint LP *is* the allocation.
+    /// the joint plan *is* the allocation.
     Horizon {
         /// Forecast window length, in hours (must be at least 1).
         lookahead: usize,

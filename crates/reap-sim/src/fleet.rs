@@ -328,8 +328,9 @@ impl Fleet {
     /// frontiers and copy-on-perturb traces, orders of magnitude faster
     /// than per-user scalar simulation and agreeing with it to within
     /// 1e-12 on every per-user scalar (pinned by property tests).
-    /// [`Policy::Horizon`] keeps the scalar engine — its joint LP has
-    /// genuinely per-user state each hour.
+    /// [`Policy::Horizon`] keeps the scalar engine — its receding-horizon
+    /// controller has genuinely per-user state each hour (the forecaster
+    /// and the cached plan tail).
     ///
     /// # Errors
     ///

@@ -27,8 +27,9 @@
 //! operations in the same order on the same values, so per-user outcomes
 //! are bit-identical to [`Fleet::user_scenario`] replay — a property the
 //! `soa_equivalence` tests pin (to 1e-12, though in practice exact).
-//! [`Policy::Horizon`] is the exception: its joint LP keeps genuinely
-//! per-user state, so the fleet falls back to the scalar engine for it.
+//! [`Policy::Horizon`] is the exception: its receding-horizon controller
+//! keeps genuinely per-user state (the forecaster and the cached plan
+//! tail), so the fleet falls back to the scalar engine for it.
 
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
