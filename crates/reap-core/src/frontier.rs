@@ -307,124 +307,150 @@ impl Decision {
     }
 }
 
-/// Flat, pointer-free image of a [`PlanFrontier`] for batched scalar
-/// evaluation: per-vertex `f64` columns instead of `Arc<OperatingPoint>`
-/// references, so a hot loop evaluating thousands of cached frontiers
-/// touches only contiguous memory.
+/// One frontier breakpoint of a [`FrontierTable`]: the budget at which
+/// the vertex is the exact optimum plus the scalars of the point running
+/// the whole period there.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TableVertex {
+    /// Breakpoint budget in joules.
+    pub budget_j: f64,
+    /// The vertex point's accuracy (0 for the all-off vertex).
+    pub accuracy: f64,
+    /// The vertex point's power draw in watts (0 for the all-off vertex).
+    pub power_w: f64,
+    /// The vertex point's id (0 for the all-off vertex).
+    pub id: u8,
+    /// Whether the vertex runs a point (`false` = the all-off vertex).
+    pub has_point: bool,
+}
+
+/// Flat, pointer-free image of many [`PlanFrontier`]s for batched scalar
+/// evaluation: one arena of [`TableVertex`]es, each frontier (a *cohort*)
+/// a contiguous run of it, so a hot loop evaluating thousands of cached
+/// frontiers touches only contiguous memory.
 ///
-/// Built once per `(points, alpha)` cohort with [`PlanFrontier::table`];
-/// each [`FrontierTable::eval`] afterwards is a short linear scan over the
-/// `K <= N + 1` breakpoints (frontiers are tiny — a handful of vertices —
-/// so the scan beats binary search) followed by the same interpolation
-/// [`PlanFrontier::solve`] performs.
+/// Every cohort shares the table's period and off power (and so its
+/// budget floor); [`FrontierTable::push`] refuses a frontier built for
+/// others. Each [`FrontierTable::eval`] is a short linear scan over the
+/// cohort's `K <= N + 1` breakpoints (frontiers are tiny — a handful of
+/// vertices — so the scan beats binary search) followed by the same
+/// interpolation [`PlanFrontier::solve`] performs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrontierTable {
-    /// Breakpoint budgets, ascending (`budgets[0]` is the floor).
-    budgets: Vec<f64>,
-    /// Vertex point accuracy (0 for the all-off vertex).
-    acc: Vec<f64>,
-    /// Vertex point power draw in watts (0 for the all-off vertex).
-    power_w: Vec<f64>,
-    /// Vertex point id (0 for the all-off vertex).
-    id: Vec<u8>,
-    /// Whether the vertex runs a point (`false` = the all-off vertex).
-    has_point: Vec<bool>,
+    /// Every cohort's breakpoints, ascending within a cohort.
+    vertices: Vec<TableVertex>,
+    /// Cohort `c` is `vertices[offsets[c]..offsets[c + 1]]`
+    /// (`cohorts + 1` entries).
+    offsets: Vec<u32>,
     tp_s: f64,
     off_w: f64,
     min_budget_j: f64,
 }
 
 impl PlanFrontier {
-    /// Flattens the frontier into a [`FrontierTable`] for batched
-    /// pointer-free evaluation.
+    /// Flattens the frontier into a one-cohort [`FrontierTable`].
     #[must_use]
     pub fn table(&self) -> FrontierTable {
-        let n = self.vertices.len();
-        let mut t = FrontierTable {
-            budgets: Vec::with_capacity(n),
-            acc: Vec::with_capacity(n),
-            power_w: Vec::with_capacity(n),
-            id: Vec::with_capacity(n),
-            has_point: Vec::with_capacity(n),
-            tp_s: self.period.seconds(),
-            off_w: self.off_power.watts(),
-            min_budget_j: self.min_budget_j,
-        };
-        for v in &self.vertices {
-            t.budgets.push(v.budget_j);
-            match &v.point {
-                Some(p) => {
-                    t.acc.push(p.accuracy());
-                    t.power_w.push(p.power().watts());
-                    t.id.push(p.id());
-                    t.has_point.push(true);
-                }
-                None => {
-                    t.acc.push(0.0);
-                    t.power_w.push(0.0);
-                    t.id.push(0);
-                    t.has_point.push(false);
-                }
-            }
-        }
+        let mut t = FrontierTable::new(self.period, self.off_power);
+        t.append(self);
         t
     }
 }
 
 impl FrontierTable {
-    /// The budget floor `P_off * TP` in joules (the first breakpoint).
+    /// An empty table for frontiers of activity period `period` and
+    /// off-state power `off_power`.
+    #[must_use]
+    pub fn new(period: TimeSpan, off_power: Power) -> FrontierTable {
+        FrontierTable {
+            vertices: Vec::new(),
+            offsets: vec![0],
+            tp_s: period.seconds(),
+            off_w: off_power.watts(),
+            min_budget_j: (off_power * period).joules(),
+        }
+    }
+
+    /// Appends `frontier` as a new cohort and returns its index.
+    ///
+    /// # Errors
+    ///
+    /// [`ReapError::InvalidParameter`] when the frontier's period or off
+    /// power differs from the table's.
+    pub fn push(&mut self, frontier: &PlanFrontier) -> Result<u32, ReapError> {
+        if frontier.period.seconds() != self.tp_s || frontier.off_power.watts() != self.off_w {
+            return Err(ReapError::InvalidParameter(format!(
+                "frontier for period {} at off power {} does not fit a table for \
+                 period {} s at off power {} W",
+                frontier.period, frontier.off_power, self.tp_s, self.off_w
+            )));
+        }
+        Ok(self.append(frontier))
+    }
+
+    fn append(&mut self, frontier: &PlanFrontier) -> u32 {
+        self.vertices
+            .extend(frontier.vertices.iter().map(|v| match &v.point {
+                Some(p) => TableVertex {
+                    budget_j: v.budget_j,
+                    accuracy: p.accuracy(),
+                    power_w: p.power().watts(),
+                    id: p.id(),
+                    has_point: true,
+                },
+                None => TableVertex {
+                    budget_j: v.budget_j,
+                    accuracy: 0.0,
+                    power_w: 0.0,
+                    id: 0,
+                    has_point: false,
+                },
+            }));
+        self.offsets.push(self.vertices.len() as u32);
+        (self.offsets.len() - 2) as u32
+    }
+
+    /// Number of cohorts (pushed frontiers).
+    #[must_use]
+    pub fn cohorts(&self) -> u32 {
+        (self.offsets.len() - 1) as u32
+    }
+
+    /// Cohort `c`'s breakpoints, ascending; the first is the floor.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `c >= cohorts()`.
+    #[inline]
+    #[must_use]
+    pub fn vertices(&self, c: u32) -> &[TableVertex] {
+        let c = c as usize;
+        &self.vertices[self.offsets[c] as usize..self.offsets[c + 1] as usize]
+    }
+
+    /// The budget floor `P_off * TP` in joules, shared by every cohort.
     #[must_use]
     pub fn min_budget_j(&self) -> f64 {
         self.min_budget_j
     }
 
-    /// The saturation budget (the last breakpoint) in joules: every
-    /// budget at or above it buys the same plan, so callers may cache
-    /// `eval(max_budget_j())` and reuse it for any richer budget.
+    /// Cohort `c`'s saturation budget (its last breakpoint) in joules:
+    /// every budget at or above it buys the same plan, so callers may
+    /// cache `eval(c, max_budget_j(c))` and reuse it for any richer
+    /// budget.
     ///
     /// # Panics
     ///
-    /// Panics on an empty table (never produced by [`PlanFrontier::table`],
-    /// which always retains the off vertex).
+    /// Panics when `c >= cohorts()`.
     #[must_use]
-    pub fn max_budget_j(&self) -> f64 {
-        *self.budgets.last().expect("tables retain the off vertex")
+    pub fn max_budget_j(&self, c: u32) -> f64 {
+        self.vertices(c)
+            .last()
+            .map_or(self.min_budget_j, |v| v.budget_j)
     }
 
-    /// Number of frontier breakpoints.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.budgets.len()
-    }
-
-    /// The `k`-th breakpoint as
-    /// `(budget_j, accuracy, power_w, id, has_point)` — the raw columns,
-    /// exported so batched callers can re-pack many cohorts' tables into
-    /// one contiguous arena.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `k >= len()`.
-    #[must_use]
-    pub fn vertex(&self, k: usize) -> (f64, f64, f64, u8, bool) {
-        (
-            self.budgets[k],
-            self.acc[k],
-            self.power_w[k],
-            self.id[k],
-            self.has_point[k],
-        )
-    }
-
-    /// `true` when the table has no breakpoints (never happens for tables
-    /// built from a valid frontier, which always retains the off vertex).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.budgets.is_empty()
-    }
-
-    /// Evaluates the optimal plan at `budget_j`, returning the schedule
-    /// aggregates bit-for-bit equal to running
+    /// Evaluates cohort `c`'s optimal plan at `budget_j`, returning the
+    /// schedule aggregates bit-for-bit equal to running
     /// [`ReapController::plan`](crate::ReapController::plan) and reading
     /// them off the returned [`Schedule`].
     ///
@@ -433,43 +459,77 @@ impl FrontierTable {
     /// which is why this is infallible where [`PlanFrontier::solve`] is
     /// not: the controller never lets an out-of-domain budget reach the
     /// frontier.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `c >= cohorts()`.
+    // Forced: the SoA fleet kernel calls this per user-hour off the
+    // frontier's first segment, and a plain `#[inline]` left it a call
+    // that cost fleet-month ~10% single-threaded.
+    #[inline(always)]
     #[must_use]
-    pub fn eval(&self, budget_j: f64) -> PlanEval {
-        self.decide(budget_j).eval
+    pub fn eval(&self, c: u32, budget_j: f64) -> PlanEval {
+        self.blend(c, budget_j, |_| {}).0
     }
 
-    /// Single-user decide: the plan aggregates **plus** the (at most two)
-    /// per-point time shares of the optimal blend, without allocating —
-    /// the serving hot path, where a resident daemon answers
-    /// `Decide {user}` from a cached cohort frontier and needs the full
-    /// allocation (which points, for how long) rather than only the
-    /// aggregates.
+    /// Single-user decide: cohort `c`'s plan aggregates **plus** the (at
+    /// most two) per-point time shares of the optimal blend, without
+    /// allocating — the serving hot path, where a resident daemon
+    /// answers `Decide {user}` from a cached cohort frontier and needs
+    /// the full allocation (which points, for how long) rather than only
+    /// the aggregates.
     ///
-    /// The aggregate arithmetic is shared with [`FrontierTable::eval`]
-    /// (which delegates here), so `decide(b).eval == eval(b)` bit for
-    /// bit, and the shares are exactly the allocations
+    /// The aggregates are [`FrontierTable::eval`]'s bit for bit (both
+    /// run the same blend), and the shares are exactly the allocations
     /// [`PlanFrontier::solve`] would return after its sub-microsecond
     /// drop rule, in ascending point-id order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `c >= cohorts()`.
     #[must_use]
-    pub fn decide(&self, budget_j: f64) -> Decision {
+    pub fn decide(&self, c: u32, budget_j: f64) -> Decision {
+        let mut shares = [PlanShare::default(); 2];
+        let mut m = 0usize;
+        let (eval, off_s) = self.blend(c, budget_j, |share| {
+            shares[m] = share;
+            m += 1;
+        });
+        Decision {
+            eval,
+            off_s,
+            shares,
+            n_shares: m as u8,
+        }
+    }
+
+    /// The optimal blend of cohort `c` at `budget_j`: its aggregates and
+    /// off time, with every allocation that survives the drop rule
+    /// reported to `share` in ascending point-id order.
+    #[inline(always)]
+    fn blend(&self, c: u32, budget_j: f64, mut share: impl FnMut(PlanShare)) -> (PlanEval, f64) {
+        let v = self.vertices(c);
         // `f64::max` maps NaN to the floor too, matching `Energy::max`.
         let b = budget_j.max(self.min_budget_j);
-        let last = self.budgets.len() - 1;
+        let last = v.len() - 1;
         let (k, lambda) = if last == 0 {
             (0, 0.0)
-        } else if b >= self.budgets[last] {
+        } else if b >= v[last].budget_j {
             (last - 1, 1.0)
         } else {
-            // First vertex with budget > b; the scan mirrors `locate`'s
-            // `partition_point(..).max(1)`.
-            let mut hi = 1;
-            while hi < last && self.budgets[hi] <= b {
-                hi += 1;
+            // First vertex with budget > b, as `locate`'s
+            // `partition_point(..).max(1)`: counting over the ascending
+            // budgets lands on the same index without a data-dependent
+            // branch.
+            let mut cnt = 0usize;
+            for x in &v[1..last] {
+                cnt += usize::from(x.budget_j <= b);
             }
-            let lo_b = self.budgets[hi - 1];
+            let hi = 1 + cnt;
+            let lo_b = v[hi - 1].budget_j;
             (
                 hi - 1,
-                ((b - lo_b) / (self.budgets[hi] - lo_b)).clamp(0.0, 1.0),
+                ((b - lo_b) / (v[hi].budget_j - lo_b)).clamp(0.0, 1.0),
             )
         };
         let hi_idx = (k + 1).min(last);
@@ -483,22 +543,22 @@ impl FrontierTable {
         let mut pow = [0.0f64; 2];
         let mut ids = [0u8; 2];
         let mut active_raw = 0.0;
-        if self.has_point[k] {
+        if v[k].has_point {
             let t = (1.0 - lambda) * tp;
             active_raw += t;
             dur[n] = t;
-            acc[n] = self.acc[k];
-            pow[n] = self.power_w[k];
-            ids[n] = self.id[k];
+            acc[n] = v[k].accuracy;
+            pow[n] = v[k].power_w;
+            ids[n] = v[k].id;
             n = 1;
         }
-        if lambda > 0.0 && self.has_point[hi_idx] {
+        if lambda > 0.0 && v[hi_idx].has_point {
             let t = lambda * tp;
             active_raw += t;
             dur[n] = t;
-            acc[n] = self.acc[hi_idx];
-            pow[n] = self.power_w[hi_idx];
-            ids[n] = self.id[hi_idx];
+            acc[n] = v[hi_idx].accuracy;
+            pow[n] = v[hi_idx].power_w;
+            ids[n] = v[hi_idx].id;
             n += 1;
         }
         let off_s = (tp - active_raw).max(0.0);
@@ -514,41 +574,25 @@ impl FrontierTable {
         let mut accuracy = 0.0;
         let mut active_s = 0.0;
         let mut active_e = 0.0;
-        let mut shares = [PlanShare {
-            id: 0,
-            seconds: 0.0,
-        }; 2];
-        let mut m = 0usize;
         for j in 0..n {
             if dur[j] > 1e-6 {
                 accuracy += acc[j] * (dur[j] / tp);
                 active_s += dur[j];
                 active_e += pow[j] * dur[j];
-                shares[m] = PlanShare {
+                share(PlanShare {
                     id: ids[j],
                     seconds: dur[j],
-                };
-                m += 1;
+                });
             }
         }
-        Decision {
-            eval: PlanEval {
+        (
+            PlanEval {
                 accuracy,
                 active_s,
                 energy_j: active_e + self.off_w * off_s,
             },
             off_s,
-            shares,
-            n_shares: m as u8,
-        }
-    }
-
-    /// Batched [`FrontierTable::eval`]: evaluates every budget in
-    /// `budgets_j` against the one cached frontier — the vectorized
-    /// `solve_many`-style entry point for cohort-deduplicated fleets.
-    #[must_use]
-    pub fn eval_many(&self, budgets_j: &[f64]) -> Vec<PlanEval> {
-        budgets_j.iter().map(|&b| self.eval(b)).collect()
+        )
     }
 }
 
@@ -691,19 +735,33 @@ mod tests {
         );
     }
 
+    /// Every alpha's frontier in one arena, cohort `i` for `alphas[i]`.
+    fn arena(alphas: &[f64]) -> FrontierTable {
+        let mut t = paper_problem(alphas[0]).frontier().table();
+        for &alpha in &alphas[1..] {
+            let c = t.push(&paper_problem(alpha).frontier()).unwrap();
+            assert_eq!(c + 1, t.cohorts());
+        }
+        t
+    }
+
     #[test]
     fn table_eval_matches_solve_bit_for_bit() {
         // The table is the fleet hot path: its scalars must equal reading
         // the aggregates off the controller's schedule exactly — same
         // ops, same order — across alphas, budgets, breakpoints, the
-        // saturated tail, and the sub-floor clamp.
-        for alpha in [0.0, 0.5, 1.0, 2.0, 4.0] {
+        // saturated tail, and the sub-floor clamp. Each alpha is checked
+        // alone and as one cohort of a shared arena.
+        let alphas = [0.0, 0.5, 1.0, 2.0, 4.0];
+        let shared = arena(&alphas);
+        for (c, &alpha) in alphas.iter().enumerate() {
             let p = paper_problem(alpha);
             let f = p.frontier();
-            let t = f.table();
-            assert_eq!(t.len(), f.breakpoints().len());
-            assert!(!t.is_empty());
-            assert_eq!(t.min_budget_j(), p.min_budget().joules());
+            let own = f.table();
+            assert_eq!(own.cohorts(), 1);
+            assert_eq!(own.vertices(0).len(), f.breakpoints().len());
+            assert_eq!(own.vertices(0), shared.vertices(c as u32));
+            assert_eq!(own.min_budget_j(), p.min_budget().joules());
             let mut budgets: Vec<f64> = vec![0.18, 0.19, 1.0, 3.7, 5.0, 9.936, 20.0];
             for b in f.breakpoints() {
                 for d in [-1e-9, 0.0, 1e-9] {
@@ -717,10 +775,12 @@ mod tests {
                 let mut controller =
                     crate::ReapController::with_solver(p.clone(), crate::SolverKind::Frontier);
                 let s = controller.plan(Energy::from_joules(b)).unwrap();
-                let e = t.eval(b);
-                assert_eq!(e.accuracy, s.expected_accuracy(), "accuracy at {b} J");
-                assert_eq!(e.active_s, s.active_time().seconds(), "active at {b} J");
-                assert_eq!(e.energy_j, s.energy().joules(), "energy at {b} J");
+                for (t, c) in [(&own, 0u32), (&shared, c as u32)] {
+                    let e = t.eval(c, b);
+                    assert_eq!(e.accuracy, s.expected_accuracy(), "accuracy at {b} J");
+                    assert_eq!(e.active_s, s.active_time().seconds(), "active at {b} J");
+                    assert_eq!(e.energy_j, s.energy().joules(), "energy at {b} J");
+                }
             }
         }
     }
@@ -730,42 +790,58 @@ mod tests {
         // The decide path must serve exactly the schedule `solve` would
         // build: same point ids, same durations (post drop rule,
         // ascending id), same off time — and its aggregates are the
-        // `eval` scalars by construction (eval delegates to decide).
-        for alpha in [0.5, 1.0, 2.0] {
+        // `eval` scalars (both run one blend). Each alpha is checked
+        // alone and as one cohort of a shared arena.
+        let alphas = [0.5, 1.0, 2.0];
+        let shared = arena(&alphas);
+        for (c, &alpha) in alphas.iter().enumerate() {
             let p = paper_problem(alpha);
             let f = p.frontier();
-            let t = f.table();
+            let own = f.table();
             let mut budgets: Vec<f64> = vec![0.18, 1.0, 3.0, 5.0, 9.936, 20.0];
             for b in f.breakpoints() {
                 budgets.push(b.joules());
                 budgets.push(b.joules() + 1e-7);
             }
             for b in budgets {
-                let d = t.decide(b);
-                assert_eq!(d.eval, t.eval(b), "aggregates diverged at {b} J");
                 let s = f
-                    .solve(Energy::from_joules(b.max(t.min_budget_j())))
+                    .solve(Energy::from_joules(b.max(own.min_budget_j())))
                     .unwrap();
                 let allocs = s.allocations();
-                assert_eq!(d.shares().len(), allocs.len(), "share count at {b} J");
-                for (share, alloc) in d.shares().iter().zip(allocs) {
-                    assert_eq!(share.id, alloc.point.id(), "point id at {b} J");
-                    assert_eq!(share.seconds, alloc.duration.seconds(), "duration at {b} J");
+                for (t, c) in [(&own, 0u32), (&shared, c as u32)] {
+                    let d = t.decide(c, b);
+                    assert_eq!(d.eval, t.eval(c, b), "aggregates diverged at {b} J");
+                    assert_eq!(d.shares().len(), allocs.len(), "share count at {b} J");
+                    for (share, alloc) in d.shares().iter().zip(allocs) {
+                        assert_eq!(share.id, alloc.point.id(), "point id at {b} J");
+                        assert_eq!(share.seconds, alloc.duration.seconds(), "duration at {b} J");
+                    }
+                    assert_eq!(d.off_s, s.off_time().seconds(), "off time at {b} J");
                 }
-                assert_eq!(d.off_s, s.off_time().seconds(), "off time at {b} J");
             }
         }
     }
 
     #[test]
-    fn table_eval_many_matches_eval() {
-        let t = paper_problem(1.0).frontier().table();
-        let budgets = [0.18, 2.5, 5.0, 12.0];
-        let batch = t.eval_many(&budgets);
-        assert_eq!(batch.len(), budgets.len());
-        for (&b, e) in budgets.iter().zip(&batch) {
-            assert_eq!(*e, t.eval(b));
-        }
+    fn table_push_rejects_a_foreign_period_or_off_power() {
+        let mut t = paper_problem(1.0).frontier().table();
+        let other = |builder: crate::ReapProblemBuilder| {
+            builder
+                .points(vec![point(1, 0.94, 2.76), point(5, 0.76, 1.20)])
+                .build()
+                .unwrap()
+                .frontier()
+        };
+        let off = other(ReapProblem::builder().off_power(Power::from_microwatts(60.0)));
+        assert!(matches!(t.push(&off), Err(ReapError::InvalidParameter(_))));
+        let period = other(ReapProblem::builder().period(TimeSpan::from_minutes(30.0)));
+        assert!(matches!(
+            t.push(&period),
+            Err(ReapError::InvalidParameter(_))
+        ));
+        // Refused frontiers leave the arena untouched.
+        assert_eq!(t.cohorts(), 1);
+        assert_eq!(t.push(&other(ReapProblem::builder())).unwrap(), 1);
     }
 
     #[test]
@@ -778,13 +854,13 @@ mod tests {
             .build()
             .unwrap();
         let t = p.frontier().table();
-        let e = t.eval(5.0);
+        let e = t.eval(0, 5.0);
         assert_eq!(e.accuracy, 0.0);
         assert_eq!(e.active_s, 0.0);
         let s = p.frontier().solve(Energy::from_joules(5.0)).unwrap();
         assert_eq!(e.energy_j, s.energy().joules());
         // NaN budgets clamp to the floor, matching `Energy::max`.
-        assert_eq!(t.eval(f64::NAN), t.eval(t.min_budget_j()));
+        assert_eq!(t.eval(0, f64::NAN), t.eval(0, t.min_budget_j()));
     }
 
     #[test]

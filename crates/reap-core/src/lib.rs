@@ -79,7 +79,7 @@ mod sweep;
 pub use controller::{ReapController, SolverKind};
 pub use error::ReapError;
 pub use explain::{explain, BindingConstraint, Explanation};
-pub use frontier::{Decision, FrontierTable, PlanEval, PlanFrontier, PlanShare};
+pub use frontier::{Decision, FrontierTable, PlanEval, PlanFrontier, PlanShare, TableVertex};
 pub use horizon::{plan_horizon, HorizonPlan};
 pub use mpc::RecedingHorizonController;
 pub use operating_point::OperatingPoint;

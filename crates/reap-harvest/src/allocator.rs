@@ -29,6 +29,39 @@ pub trait BudgetAllocator {
     fn name(&self) -> &'static str;
 }
 
+/// The grant rule: no more than `supply` can deliver, but never below
+/// the monitoring `floor` while `supply` still covers it.
+#[inline]
+#[must_use]
+pub fn grant_budget(proposed: Energy, supply: Energy, floor: Energy) -> Energy {
+    proposed.min(supply).max(floor.min(supply))
+}
+
+/// One hour of the open-loop budget protocol: `allocator` proposes
+/// against `virtual_battery`, the proposal is granted against the
+/// battery plus this hour's `harvested` energy ([`grant_budget`]), and
+/// the virtual battery banks the harvest and spends the whole grant.
+/// Returns the grant.
+///
+/// The supply counts the hour's own harvest because execution banks it
+/// before (virtually) spending the budget, so a dark battery must not
+/// deny the floor in a bright hour.
+#[inline]
+pub fn open_loop_step<A: BudgetAllocator + ?Sized>(
+    allocator: &mut A,
+    hour_of_day: u32,
+    harvested_last_hour: Energy,
+    harvested: Energy,
+    floor: Energy,
+    virtual_battery: &mut Battery,
+) -> Energy {
+    let proposed = allocator.allocate(hour_of_day, harvested_last_hour, virtual_battery);
+    let budget = grant_budget(proposed, virtual_battery.deliverable() + harvested, floor);
+    virtual_battery.charge(harvested);
+    virtual_battery.discharge(budget);
+    budget
+}
+
 /// Spend-as-you-go: budget = last hour's harvest plus a battery-level
 /// correction toward a half-full target. Reactive and simple; serves as
 /// the weakest baseline.

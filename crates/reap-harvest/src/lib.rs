@@ -70,7 +70,10 @@ mod source;
 mod thermoelectric;
 mod trace;
 
-pub use allocator::{BudgetAllocator, EwmaAllocator, GreedyAllocator, UniformDailyAllocator};
+pub use allocator::{
+    grant_budget, open_loop_step, BudgetAllocator, EwmaAllocator, GreedyAllocator,
+    UniformDailyAllocator,
+};
 pub use battery::Battery;
 pub use blackout::BlackoutOverlay;
 pub use capacitor::Capacitor;

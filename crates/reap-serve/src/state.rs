@@ -10,10 +10,10 @@
 //! granted.
 //!
 //! Users sharing `(operating points, alpha)` form a cohort and resolve
-//! decisions through one cached [`FrontierTable`] — the same
-//! deduplication the SoA simulation core performs, keyed on the exact
-//! bit patterns of `(alpha, per-point id/accuracy/power)`. A `Decide`
-//! request is therefore a table walk, not an LP solve.
+//! decisions through its run of one cached [`FrontierTable`] arena — the
+//! same deduplication the SoA simulation core performs, on the same
+//! [`UserParams::cohort_key`](reap_sim::UserParams::cohort_key). A
+//! `Decide` request is therefore a table walk, not an LP solve.
 //!
 //! Concurrency: users are striped over `S` shards (`user % S`), each
 //! behind its own rank-ordered mutex ([`OrderedLock`], class
@@ -24,12 +24,14 @@
 //! their results are deterministic whatever the request interleaving
 //! that got there.
 
+use std::collections::BTreeMap;
+
 use crate::locks::{rank, OrderedLock};
 
 use reap_core::{Decision, FrontierTable, ReapProblem};
-use reap_harvest::{Battery, BudgetAllocator, EwmaAllocator};
+use reap_harvest::{grant_budget, open_loop_step, Battery, BudgetAllocator, EwmaAllocator};
 use reap_sim::Fleet;
-use reap_units::{Energy, Power};
+use reap_units::{Energy, Power, TimeSpan};
 
 use crate::protocol::{ErrorCode, FleetStats, ProtocolError};
 
@@ -68,7 +70,7 @@ pub(crate) struct UserState {
     /// Budget granted at `last_seq`, replayed verbatim when a retrying
     /// client resends the same sequence number.
     pub last_budget: f64,
-    /// Cohort index into the shared frontier tables.
+    /// Cohort index into the shared frontier table.
     pub cohort: u32,
 }
 
@@ -91,8 +93,8 @@ struct Shard {
 #[derive(Debug)]
 pub struct FleetState {
     shards: Vec<OrderedLock<Shard>>,
-    /// Cohort-shared frontier tables, indexed by `UserState::cohort`.
-    tables: Vec<FrontierTable>,
+    /// Every cohort's frontier, indexed by `UserState::cohort`.
+    table: FrontierTable,
     users: u32,
     /// FNV-1a over the fleet configuration (user count, per-user alpha /
     /// point bits / source label); snapshots embed it so a checkpoint
@@ -105,8 +107,8 @@ pub struct FleetState {
 
 impl FleetState {
     /// Builds resident state for every user of `fleet`, deduplicating
-    /// `(points, alpha)` cohorts into shared frontier tables and striping
-    /// users over `shards` mutexes.
+    /// `(points, alpha)` cohorts into one shared frontier table and
+    /// striping users over `shards` mutexes.
     ///
     /// # Errors
     ///
@@ -120,38 +122,33 @@ impl FleetState {
         let mut fp = Fnv::new();
         fp.write_u64(u64::from(users));
 
-        // Cohort dedup: exact bit patterns of (alpha, per-point
-        // id/accuracy/power) — the same key the SoA simulation core uses,
-        // so a fleet reports the same cohort count served or simulated.
-        let mut cohort_keys: Vec<Vec<u64>> = Vec::new();
-        let mut tables: Vec<FrontierTable> = Vec::new();
+        // Cohort dedup on the SoA simulation core's key, so a fleet
+        // reports the same cohort count served or simulated. Cohorts are
+        // numbered in first-appearance user order.
+        let off_power = Power::from_microwatts(OFF_POWER_UW);
+        let mut cohorts: BTreeMap<Vec<u64>, u32> = BTreeMap::new();
+        let mut table = FrontierTable::new(TimeSpan::from_hours(1.0), off_power);
         let mut shard_users: Vec<Vec<UserState>> = vec![Vec::new(); shards];
 
         for u in 0..users {
             let params = fleet.user_params(u)?;
-            let mut key = Vec::with_capacity(1 + 3 * params.points.len());
-            key.push(params.alpha.to_bits());
-            for p in &params.points {
-                key.push(u64::from(p.id()));
-                key.push(p.accuracy().to_bits());
-                key.push(p.power().watts().to_bits());
-            }
+            let key = params.cohort_key();
             for &w in &key {
                 fp.write_u64(w);
             }
             fp.write_bytes(fleet.user_source(u).label().as_bytes());
 
-            let cohort = match cohort_keys.iter().position(|k| *k == key) {
-                Some(idx) => idx as u32,
+            let cohort = match cohorts.get(&key) {
+                Some(&c) => c,
                 None => {
                     let problem = ReapProblem::builder()
                         .alpha(params.alpha)
-                        .off_power(Power::from_microwatts(OFF_POWER_UW))
-                        .points(params.points.clone())
+                        .off_power(off_power)
+                        .points(params.points)
                         .build()?;
-                    cohort_keys.push(key);
-                    tables.push(problem.frontier().table());
-                    (tables.len() - 1) as u32
+                    let c = table.push(&problem.frontier())?;
+                    cohorts.insert(key, c);
+                    c
                 }
             };
 
@@ -177,7 +174,7 @@ impl FleetState {
                 .enumerate()
                 .map(|(i, users)| OrderedLock::new("shard", rank::SHARD, i as u32, Shard { users }))
                 .collect(),
-            tables,
+            table,
             users,
             fingerprint: fp.finish(),
             ewma_alpha: EwmaAllocator::new().diurnal().alpha(),
@@ -190,10 +187,10 @@ impl FleetState {
         self.users
     }
 
-    /// Distinct `(points, alpha)` cohorts sharing a frontier table.
+    /// Distinct `(points, alpha)` cohorts in the frontier table.
     #[must_use]
     pub fn cohorts(&self) -> u32 {
-        self.tables.len() as u32
+        self.table.cohorts()
     }
 
     /// The fleet-configuration fingerprint embedded in snapshots.
@@ -209,11 +206,11 @@ impl FleetState {
     }
 
     /// Runs `f` on user `user`'s state (under its shard lock) together
-    /// with the cohort frontier tables.
+    /// with the cohort frontier table.
     fn with_user<T>(
         &self,
         user: u32,
-        f: impl FnOnce(&mut UserState, &[FrontierTable]) -> T,
+        f: impl FnOnce(&mut UserState, &FrontierTable) -> T,
     ) -> Result<T, ProtocolError> {
         if user >= self.users {
             return Err(ProtocolError::new(
@@ -227,7 +224,7 @@ impl FleetState {
         let mut shard = self.shards[user as usize % shards].lock();
         // reap-lint: allow(panic:index) -- striping invariant: user < self.users puts `user / shards` in this shard
         let state = &mut shard.users[user as usize / shards];
-        Ok(f(state, &self.tables))
+        Ok(f(state, &self.table))
     }
 
     /// Absorbs one completed hour of `user`'s life — one open-loop
@@ -294,7 +291,7 @@ impl FleetState {
             ));
         }
         let hour = hour % 24;
-        self.with_user(user, |state, tables| {
+        self.with_user(user, |state, table| {
             if let Some(s) = seq {
                 if s == state.last_seq {
                     // Duplicate delivery of the newest observe: replay
@@ -308,14 +305,15 @@ impl FleetState {
                     ));
                 }
             }
-            // reap-lint: allow(panic:index) -- cohort indices are assigned from tables.len() at build
-            let floor = Energy::from_joules(tables[state.cohort as usize].min_budget_j());
             let harvested = Energy::from_joules(harvest_j);
-            let proposed = state.alloc.allocate(hour, state.last_harvest, &state.vbat);
-            let supply = state.vbat.deliverable() + harvested;
-            let budget = proposed.min(supply).max(floor.min(supply));
-            state.vbat.charge(harvested);
-            state.vbat.discharge(budget);
+            let budget = open_loop_step(
+                &mut state.alloc,
+                hour,
+                state.last_harvest,
+                harvested,
+                Energy::from_joules(table.min_budget_j()),
+                &mut state.vbat,
+            );
             state.last_harvest = harvested;
             state.last_hour = hour;
             state.observations += 1;
@@ -342,10 +340,7 @@ impl FleetState {
     ///
     /// [`ErrorCode::UnknownUser`] for an out-of-range user.
     pub fn decide(&self, user: u32) -> Result<DecideOutcome, ProtocolError> {
-        self.with_user(user, |state, tables| {
-            // reap-lint: allow(panic:index) -- cohort indices are assigned from tables.len() at build
-            let table = &tables[state.cohort as usize];
-            let floor = Energy::from_joules(table.min_budget_j());
+        self.with_user(user, |state, table| {
             let next_hour = if state.last_hour == NO_HOUR {
                 0
             } else {
@@ -355,11 +350,11 @@ impl FleetState {
                 .alloc
                 .clone()
                 .allocate(next_hour, state.last_harvest, &state.vbat);
-            let supply = state.vbat.deliverable();
-            let budget = proposed.min(supply).max(floor.min(supply));
+            let floor = Energy::from_joules(table.min_budget_j());
+            let budget = grant_budget(proposed, state.vbat.deliverable(), floor);
             DecideOutcome {
                 budget_j: budget.joules(),
-                decision: table.decide(budget.joules()),
+                decision: table.decide(state.cohort, budget.joules()),
             }
         })
     }

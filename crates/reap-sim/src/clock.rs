@@ -1,32 +1,27 @@
-//! The event-driven, variable-dt simulation core.
+//! The event-driven core for batteryless intermittent operation.
 //!
-//! The scalar engine (`crate::engine`) advances one fixed hour at a
-//! time. This module generalizes that tick: the simulation advances on a
-//! binary heap of timestamped events — harvest edges (the hour-granular
-//! trace is resampled to the execution epoch `dt`), scheduled decisions,
-//! capacitor threshold crossings (wake-ups), forced power failures and
-//! restores — and executes in epochs of `dt` seconds (`dt` divides an
-//! hour evenly; `dt = 3600` is the scalar engine's granularity).
+//! Battery scenarios step a fixed hour (split into `3600 / dt` equal
+//! steps) in the engine's hour loop (`crate::engine`): every event there
+//! is a periodic edge, so a heap would add cost and no information. An
+//! [`IntermittentConfig`] replaces the battery with a capacitor-scale
+//! store, and then the node's life is genuinely event-driven, so this
+//! module advances it on a binary heap of timestamped events — harvest
+//! edges (the hour-granular trace is resampled to the execution epoch
+//! `dt`), capacitor threshold crossings (wake-ups), forced power
+//! failures and restores — executing in epochs of `dt` seconds (`dt`
+//! divides an hour evenly).
 //!
-//! Two storage modes share the core:
-//!
-//! * **Battery mode** (no [`IntermittentConfig`]): the scenario's
-//!   [`Battery`] executes each epoch through the *same* `execute_step`
-//!   helper as the scalar engine, and planning goes through the same
-//!   `HourPlanner` (both private to the crate). At `dt = 3600` the two
-//!   engines therefore run identical arithmetic and produce bit-for-bit
-//!   identical reports — the differential harness in
-//!   `tests/dt_equivalence.rs` pins that.
-//! * **Intermittent mode** ([`IntermittentConfig`]): a capacitor-scale
-//!   store replaces the battery. The node lives in charge bursts:
-//!   **off → charging → on → brownout → off**. While off, charging is
-//!   advanced in closed form (piecewise-linear within each trace hour)
-//!   and the turn-on threshold crossing is computed analytically — one
-//!   event per off-hour instead of thousands of idle ticks. On turn-on
-//!   the node pays a calibrated restore tax; every completed epoch pays
-//!   a checkpoint tax and *commits* its work; a brownout mid-epoch
-//!   loses the uncommitted (volatile) epoch and kills the node until
-//!   the store recharges past the turn-on threshold.
+//! The node lives in charge bursts: **off → charging → on → brownout →
+//! off**. While off, charging is advanced in closed form
+//! (piecewise-linear within each trace hour) and the turn-on threshold
+//! crossing is computed analytically — one event per off-hour instead of
+//! thousands of idle ticks. On turn-on the node pays a calibrated
+//! restore tax; every completed epoch pays a checkpoint tax and
+//! *commits* its work; a brownout mid-epoch loses the uncommitted
+//! (volatile) epoch and kills the node until the store recharges past
+//! the turn-on threshold. The hourly policies plan through the engine's
+//! `HourPlanner` (private to the crate), against the store viewed as a
+//! loss-free battery.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -35,7 +30,7 @@ use reap_core::{static_schedule, Schedule};
 use reap_harvest::{Battery, Capacitor};
 use reap_units::Energy;
 
-use crate::engine::{execute_step, HourPlanner, Policy};
+use crate::engine::{HourPlanner, Policy};
 use crate::report::{HourRecord, SimReport};
 use crate::{Scenario, SimError};
 
@@ -163,15 +158,16 @@ impl IntermittentConfig {
     }
 }
 
-/// One entry of the (optional) event log: what the core processed and
-/// when. Enabled by [`ScenarioBuilder::trace_events`](crate::ScenarioBuilder::trace_events);
+/// One entry of the (optional) event log of an intermittent run: what
+/// the core processed and when. Enabled by
+/// [`ScenarioBuilder::trace_events`](crate::ScenarioBuilder::trace_events);
 /// crash-point harnesses replay failures at every logged timestamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventRecord {
     /// Simulation time of the event, in seconds from trace start.
     pub at_s: u64,
-    /// Event tag: `"harvest-edge"`, `"decision"`, `"epoch"`, `"wake"`,
-    /// `"failure"`, `"restore"`, or `"end"`.
+    /// Event tag: `"harvest-edge"`, `"epoch"`, `"wake"`, `"failure"`,
+    /// `"restore"`, or `"end"`.
     pub kind: &'static str,
 }
 
@@ -179,10 +175,13 @@ pub struct EventRecord {
 ///
 /// The ledger fields record every mutation of the energy store in
 /// intermittent mode, so conservation is checkable to float rounding:
-/// [`ClockStats::ledger_drift`] must stay within `1e-9` J.
+/// [`ClockStats::ledger_drift`] must stay within `1e-9` J. A battery
+/// scenario's run fills only `epochs_committed` (every step of every
+/// hour) and `harvest_offered_j`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ClockStats {
-    /// Events popped from the heap.
+    /// Events popped from the heap (intermittent runs; zero for battery
+    /// scenarios, which run no heap).
     pub events: u64,
     /// Execution epochs whose work was committed (checkpoint completed).
     pub epochs_committed: u64,
@@ -241,25 +240,25 @@ impl ClockStats {
 }
 
 /// An event-core run: the hour-by-hour [`SimReport`] (same shape the
-/// scalar engine produces), the core's [`ClockStats`], and — when
+/// hour loop produces), the core's [`ClockStats`], and — when
 /// [`ScenarioBuilder::trace_events`](crate::ScenarioBuilder::trace_events)
-/// is set — the processed event log.
+/// is set on an intermittent scenario — the processed event log.
 #[derive(Debug, Clone)]
 pub struct VdtRun {
-    /// The hour-by-hour report (bit-identical to the scalar engine's at
-    /// `dt = 3600` in battery mode).
+    /// The hour-by-hour report (a battery scenario's is exactly
+    /// [`Scenario::run`]'s).
     pub report: SimReport,
     /// Event counters and the energy ledger.
     pub stats: ClockStats,
-    /// The processed events, oldest first (empty unless tracing is on).
+    /// The processed events, oldest first (empty unless tracing is on
+    /// and the scenario is intermittent).
     pub events: Vec<EventRecord>,
 }
 
 /// Event kinds, with the tie-break priority at equal timestamps encoded
 /// separately (restores come back before the world changes, harvest
-/// edges before decisions, decisions before epochs, failures *before*
-/// the epoch at the same timestamp so a kill at an epoch boundary
-/// pre-empts that epoch).
+/// edges before epochs, failures *before* the epoch at the same
+/// timestamp so a kill at an epoch boundary pre-empts that epoch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum EventKind {
     /// A forced outage ends.
@@ -270,8 +269,6 @@ enum EventKind {
     Failure,
     /// The store crossed (or may have crossed) the turn-on threshold.
     Wake,
-    /// Plan trace hour `h` (battery mode).
-    Decision(u32),
     /// Execute the epoch starting at this timestamp.
     Epoch,
     /// Trace end.
@@ -285,9 +282,8 @@ impl EventKind {
             EventKind::HarvestEdge(_) => 1,
             EventKind::Failure => 2,
             EventKind::Wake => 3,
-            EventKind::Decision(_) => 4,
-            EventKind::Epoch => 5,
-            EventKind::End => 6,
+            EventKind::Epoch => 4,
+            EventKind::End => 5,
         }
     }
 
@@ -297,7 +293,6 @@ impl EventKind {
             EventKind::HarvestEdge(_) => "harvest-edge",
             EventKind::Failure => "failure",
             EventKind::Wake => "wake",
-            EventKind::Decision(_) => "decision",
             EventKind::Epoch => "epoch",
             EventKind::End => "end",
         }
@@ -345,9 +340,10 @@ impl EventHeap {
     }
 }
 
-/// Runs `scenario` on the event core under `policy`, optionally reusing
-/// a precomputed open-loop budget sequence (battery mode only; the
-/// capacitor's budget layer is driven live).
+/// Runs `scenario` under `policy`: an intermittent scenario on the event
+/// core, a battery scenario in the engine's hour loop (optionally reusing
+/// a precomputed open-loop budget sequence; the capacitor's budget layer
+/// is driven live) with its step count and offered harvest as the stats.
 ///
 /// # Errors
 ///
@@ -359,7 +355,7 @@ pub(crate) fn run_event_driven_with_budgets(
     policy: Policy,
     shared_budgets: Option<&[Energy]>,
 ) -> Result<VdtRun, SimError> {
-    // Fail fast on unknown static ids, like the scalar engine.
+    // Fail fast on unknown static ids, like the hour loop.
     if let Policy::Static(id) = policy {
         scenario.problem.point(id)?;
     }
@@ -371,160 +367,22 @@ pub(crate) fn run_event_driven_with_budgets(
         ));
     }
     match &scenario.intermittent {
-        None => run_battery_mode(scenario, policy, shared_budgets),
         Some(config) => run_intermittent_mode(scenario, policy, config),
-    }
-}
-
-/// Battery mode: the scalar engine's semantics on the event core. Each
-/// hour splits into `3600 / dt` epochs; the hour's harvest and planned
-/// energy are spread uniformly across them and each epoch executes
-/// through [`execute_step`]. At `dt = 3600` this is one call per hour
-/// with the *original* hour values — bit-identical to the scalar loop.
-fn run_battery_mode(
-    scenario: &Scenario,
-    policy: Policy,
-    shared_budgets: Option<&[Energy]>,
-) -> Result<VdtRun, SimError> {
-    let dt = u64::from(scenario.dt_seconds);
-    let steps_per_hour = HOUR_S / dt;
-    let frac = 1.0 / to_f64(steps_per_hour);
-    let harvest: Vec<Energy> = scenario.trace.iter().collect();
-    let total_hours = harvest.len();
-    let end_s = total_hours as u64 * HOUR_S;
-
-    let mut planner = HourPlanner::new(scenario, policy, shared_budgets)?;
-    let mut battery = scenario.battery.clone();
-    let mut stats = ClockStats::default();
-    let mut events = Vec::new();
-    let mut hours = Vec::with_capacity(total_hours);
-
-    let mut heap = EventHeap::new();
-    for h in 0..total_hours {
-        let at = h as u64 * HOUR_S;
-        heap.push(at, EventKind::HarvestEdge(h as u32));
-        heap.push(at, EventKind::Decision(h as u32));
-    }
-    heap.push(end_s, EventKind::End);
-    heap.push(0, EventKind::Epoch);
-
-    // Per-hour scratch state.
-    let mut hour_harvest = Energy::ZERO;
-    let mut current_plan: Option<(Energy, Schedule)> = None;
-    // Exactly one of these carries the hour's realized fraction: at
-    // dt = 3600 the single step's fraction is taken verbatim (bitwise
-    // identical to the scalar engine); at sub-hour dt the supplied
-    // joules accumulate and the ratio is formed at the hour edge.
-    let mut hour_fraction = 1.0;
-    let mut hour_supplied = 0.0f64;
-
-    let finalize_hour = |h: usize,
-                         hours: &mut Vec<HourRecord>,
-                         planner: &mut HourPlanner<'_>,
-                         battery: &Battery,
-                         hour_harvest: Energy,
-                         current_plan: &Option<(Energy, Schedule)>,
-                         hour_fraction: f64,
-                         hour_supplied: f64| {
-        let (budget, planned) = current_plan
-            .clone()
-            .expect("a Decision event planned this hour before any epoch ran");
-        let realized_fraction = if steps_per_hour == 1 {
-            hour_fraction
-        } else {
-            let needed = planned.energy().joules();
-            if needed > 0.0 {
-                (hour_supplied / needed).clamp(0.0, 1.0)
-            } else {
-                1.0
-            }
-        };
-        hours.push(HourRecord {
-            day: (h / 24) as u32,
-            hour: (h % 24) as u32,
-            harvested: hour_harvest,
-            budget,
-            planned,
-            realized_fraction,
-            battery_level: battery.level(),
-        });
-        planner.end_hour(h, hour_harvest);
-    };
-
-    while let Some(ev) = heap.pop() {
-        stats.events += 1;
-        if scenario.trace_events {
-            events.push(EventRecord {
-                at_s: ev.at,
-                kind: ev.kind.tag(),
-            });
-        }
-        match ev.kind {
-            EventKind::HarvestEdge(h) => {
-                let h = h as usize;
-                if h > 0 {
-                    finalize_hour(
-                        h - 1,
-                        &mut hours,
-                        &mut planner,
-                        &battery,
-                        hour_harvest,
-                        &current_plan,
-                        hour_fraction,
-                        hour_supplied,
-                    );
-                }
-                hour_harvest = harvest[h];
-                stats.harvest_offered_j += hour_harvest.joules();
-                hour_fraction = 1.0;
-                hour_supplied = 0.0;
-            }
-            EventKind::Decision(h) => {
-                let (budget, planned) = planner.plan_hour(h as usize, hour_harvest, &battery)?;
-                current_plan = Some((budget, planned));
-            }
-            EventKind::Epoch => {
-                let (_, planned) = current_plan
-                    .as_ref()
-                    .expect("a Decision event precedes the first epoch of every hour");
-                if steps_per_hour == 1 {
-                    hour_fraction = execute_step(&mut battery, hour_harvest, planned.energy());
-                } else {
-                    let step_needed = planned.energy() * frac;
-                    let step_harvest = hour_harvest * frac;
-                    let sf = execute_step(&mut battery, step_harvest, step_needed);
-                    hour_supplied += step_needed.joules() * sf;
-                }
-                stats.epochs_committed += 1;
-                if ev.at + dt < end_s {
-                    heap.push(ev.at + dt, EventKind::Epoch);
-                }
-            }
-            EventKind::End => {
-                finalize_hour(
-                    total_hours - 1,
-                    &mut hours,
-                    &mut planner,
-                    &battery,
-                    hour_harvest,
-                    &current_plan,
-                    hour_fraction,
-                    hour_supplied,
-                );
-                break;
-            }
-            EventKind::Restore | EventKind::Failure | EventKind::Wake => {
-                unreachable!("battery mode schedules no intermittency events")
-            }
+        None => {
+            let report = crate::engine::run_with_budgets(scenario, policy, shared_budgets)?;
+            let steps = HOUR_S / u64::from(scenario.dt_seconds);
+            let stats = ClockStats {
+                epochs_committed: scenario.trace.len_hours() as u64 * steps,
+                harvest_offered_j: scenario.trace.iter().fold(0.0, |sum, e| sum + e.joules()),
+                ..ClockStats::default()
+            };
+            Ok(VdtRun {
+                report,
+                stats,
+                events: Vec::new(),
+            })
         }
     }
-
-    let energy_layer = planner.energy_layer();
-    Ok(VdtRun {
-        report: SimReport::new(policy, energy_layer, scenario.problem.alpha(), hours),
-        stats,
-        events,
-    })
 }
 
 /// The intermittent node's full state machine:
@@ -1040,9 +898,6 @@ fn run_intermittent_mode(
                 core.finalize_hour(total_hours - 1);
                 break;
             }
-            EventKind::Decision(_) => {
-                unreachable!("intermittent mode plans inside epochs, not via Decision events")
-            }
         }
     }
 
@@ -1208,6 +1063,30 @@ mod tests {
             let run = s.run_event_driven(policy).unwrap();
             assert_eq!(run.report.hours().len(), 48, "{policy}");
             assert!(run.stats.ledger_drift().abs() <= 1e-9, "{policy}");
+        }
+    }
+
+    #[test]
+    fn battery_scenarios_report_steps_and_harvest_but_no_events() {
+        let trace = teg_trace(11, 2);
+        let offered: f64 = trace.iter().fold(0.0, |sum, e| sum + e.joules());
+        for dt in [3600u32, 900] {
+            let s = crate::Scenario::builder(trace.clone())
+                .points(paper_points())
+                .dt_seconds(dt)
+                .trace_events(true)
+                .build()
+                .unwrap();
+            let run = s.run_event_driven(Policy::Reap).unwrap();
+            assert_eq!(run.report, s.run(Policy::Reap).unwrap(), "dt={dt}");
+            assert_eq!(
+                run.stats.epochs_committed,
+                48 * u64::from(3600 / dt),
+                "dt={dt}"
+            );
+            assert_eq!(run.stats.harvest_offered_j.to_bits(), offered.to_bits());
+            assert_eq!(run.stats.events, 0);
+            assert!(run.events.is_empty(), "dt={dt}: battery runs log no events");
         }
     }
 

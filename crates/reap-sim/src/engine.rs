@@ -4,6 +4,7 @@ use std::borrow::Cow;
 use std::fmt;
 
 use reap_core::{static_schedule, ReapController, RecedingHorizonController, Schedule, SolverKind};
+use reap_harvest::open_loop_step;
 use reap_units::Energy;
 
 use crate::report::{HourRecord, SimReport};
@@ -76,37 +77,25 @@ pub(crate) fn open_loop_budgets(scenario: &Scenario) -> Vec<Energy> {
     let mut budgets = Vec::with_capacity(scenario.trace.len_hours());
     let mut harvested_last_hour = Energy::ZERO;
     for (i, harvested) in scenario.trace.iter().enumerate() {
-        let hour = (i % 24) as u32;
-        let proposed = allocator.allocate(hour, harvested_last_hour, &virtual_battery);
-        // Grant no more than the virtual supply could actually deliver.
-        // The floor clamp counts the hour's own harvest, exactly like the
-        // grant cap above: execution banks the incoming harvest before
-        // (virtually) spending the budget, so the monitoring floor is
-        // reachable whenever battery *plus* same-hour harvest covers it —
-        // a dark battery must not deny the floor in a bright hour.
-        let budget = proposed
-            .min(virtual_battery.deliverable() + harvested)
-            .max(floor.min(virtual_battery.deliverable() + harvested));
-        // Virtual accounting: the whole budget is spent, the harvest is
-        // banked.
-        virtual_battery.charge(harvested);
-        virtual_battery.discharge(budget);
-        budgets.push(budget);
+        budgets.push(open_loop_step(
+            allocator.as_mut(),
+            (i % 24) as u32,
+            harvested_last_hour,
+            harvested,
+            floor,
+            &mut virtual_battery,
+        ));
         harvested_last_hour = harvested;
     }
     budgets
 }
 
-/// The per-hour planning pipeline, extracted so the scalar hourly loop
-/// below and the event-driven core ([`crate::clock`]) run *the same*
-/// arithmetic: budget proposal (precomputed open-loop sequence or live
-/// allocator), floor clamp, and policy planning (frontier / static
-/// duty-cycle / receding-horizon MPC).
-///
-/// Bit-for-bit equivalence between the two engines at dt = 1 h rests on
-/// both calling [`HourPlanner::plan_hour`] then [`HourPlanner::end_hour`]
-/// exactly once per hour, in order — the differential harness in
-/// `tests/dt_equivalence.rs` pins that property.
+/// The per-hour planning pipeline, shared by the battery hour loop below
+/// and the event core's intermittent mode ([`crate::clock`]): budget
+/// proposal (precomputed open-loop sequence or live allocator), floor
+/// clamp, and policy planning (frontier / static duty-cycle /
+/// receding-horizon MPC). Callers run [`HourPlanner::plan_hour`] then
+/// [`HourPlanner::end_hour`] once per hour, in order.
 pub(crate) struct HourPlanner<'s> {
     scenario: &'s Scenario,
     policy: Policy,
@@ -252,15 +241,7 @@ impl<'s> HourPlanner<'s> {
 /// Executes one step against a battery: draw from the incoming harvest
 /// first, then the battery; brown out proportionally if supply falls
 /// short. Returns the realized fraction of `needed` in `[0, 1]`.
-///
-/// Shared verbatim between the scalar hourly loop and the event core's
-/// battery mode — the arithmetic here *is* the execution semantics both
-/// engines are pinned to.
-pub(crate) fn execute_step(
-    battery: &mut reap_harvest::Battery,
-    harvested: Energy,
-    needed: Energy,
-) -> f64 {
+fn execute_step(battery: &mut reap_harvest::Battery, harvested: Energy, needed: Energy) -> f64 {
     let mut realized_fraction = 1.0;
     if harvested >= needed {
         battery.charge(harvested - needed);
@@ -283,15 +264,18 @@ pub(crate) fn execute_step(
 /// sequence the caller already computed (`None` derives budgets from the
 /// scenario's own mode, exactly as before).
 ///
-/// Scenarios configured for the event core (sub-hour `dt_seconds` or an
-/// [`IntermittentConfig`](crate::IntermittentConfig)) are routed to
-/// [`crate::clock`]; everything else takes the scalar hourly loop below.
+/// Intermittent scenarios (an
+/// [`IntermittentConfig`](crate::IntermittentConfig)) are routed to the
+/// event core in [`crate::clock`]; every battery scenario takes the hour
+/// loop below, which executes each hour as `3600 / dt_seconds` equal
+/// steps. At one step per hour the step sees the hour's own harvest and
+/// planned energy, not a split of them.
 pub(crate) fn run_with_budgets(
     scenario: &Scenario,
     policy: Policy,
     shared_budgets: Option<&[Energy]>,
 ) -> Result<SimReport, SimError> {
-    if scenario.uses_event_core() {
+    if scenario.intermittent.is_some() {
         return crate::clock::run_event_driven_with_budgets(scenario, policy, shared_budgets)
             .map(|run| run.report);
     }
@@ -303,13 +287,31 @@ pub(crate) fn run_with_budgets(
     let mut battery = scenario.battery.clone();
     let total_hours = scenario.trace.len_hours();
     let mut hours = Vec::with_capacity(total_hours);
+    let steps = 3600 / scenario.dt_seconds;
+    let frac = 1.0 / f64::from(steps);
 
     for (i, harvested) in scenario.trace.iter().enumerate() {
         let day = (i / 24) as u32;
         let hour = (i % 24) as u32;
         let (budget, planned) = planner.plan_hour(i, harvested, &battery)?;
         let needed = planned.energy();
-        let realized_fraction = execute_step(&mut battery, harvested, needed);
+        let realized_fraction = if steps == 1 {
+            execute_step(&mut battery, harvested, needed)
+        } else {
+            // Spread the hour uniformly over its steps and form the
+            // realized fraction from the joules actually supplied.
+            let (step_needed, step_harvest) = (needed * frac, harvested * frac);
+            let mut supplied = 0.0f64;
+            for _ in 0..steps {
+                let sf = execute_step(&mut battery, step_harvest, step_needed);
+                supplied += step_needed.joules() * sf;
+            }
+            if needed.joules() > 0.0 {
+                (supplied / needed.joules()).clamp(0.0, 1.0)
+            } else {
+                1.0
+            }
+        };
         hours.push(HourRecord {
             day,
             hour,

@@ -88,8 +88,8 @@ pub struct Fleet {
     /// configured capacitor store with power-failure semantics instead of
     /// the battery (see [`IntermittentConfig`](crate::IntermittentConfig)).
     pub(crate) intermittent: Option<crate::clock::IntermittentConfig>,
-    /// Engine step width in seconds (default 3600). Sub-hour values route
-    /// every user through the event-driven variable-dt core.
+    /// Engine step width in seconds (default 3600). Sub-hour values run
+    /// every user on the scalar engine, not the SoA kernels.
     pub(crate) dt_seconds: u32,
     /// The fleet flattened into SoA form, built lazily on the first run
     /// and reused by every later one — a `Fleet` is immutable once
@@ -114,6 +114,24 @@ pub struct UserParams {
     /// The user's harvest-trace perturbation (gain + phase over the
     /// shared base trace).
     pub perturbation: TracePerturbation,
+}
+
+impl UserParams {
+    /// The user's cohort key: the exact bit patterns of `(alpha,
+    /// per-point id/accuracy/power)`. Users with equal keys share every
+    /// input of the frontier build, so the SoA core and the resident
+    /// daemon both deduplicate cohorts on it.
+    #[must_use]
+    pub fn cohort_key(&self) -> Vec<u64> {
+        let mut key = Vec::with_capacity(1 + 3 * self.points.len());
+        key.push(self.alpha.to_bits());
+        for p in &self.points {
+            key.push(u64::from(p.id()));
+            key.push(p.accuracy().to_bits());
+            key.push(p.power().watts().to_bits());
+        }
+        key
+    }
 }
 
 /// Builder for [`Fleet`]; see [`Fleet::builder`].
@@ -509,8 +527,9 @@ impl FleetBuilder {
     }
 
     /// Sets the engine step width in seconds (default 3600). Must divide
-    /// the hour evenly; sub-hour widths route every user through the
-    /// event-driven variable-dt core.
+    /// the hour evenly; sub-hour widths run every user on the scalar hour
+    /// loop, split into `3600 / dt` steps per hour (or, with
+    /// [`FleetBuilder::intermittent`], as the event core's epoch).
     #[must_use]
     pub fn dt_seconds(mut self, dt_seconds: u32) -> Self {
         self.fleet.dt_seconds = dt_seconds;

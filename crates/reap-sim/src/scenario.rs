@@ -92,9 +92,9 @@ pub struct Scenario {
     pub(crate) allocator: AllocatorKind,
     pub(crate) budget_mode: BudgetMode,
     pub(crate) forecaster: ForecasterKind,
-    /// Execution-epoch length of the event core, in seconds. 3600 (the
-    /// default) with no [`IntermittentConfig`] keeps the scalar hourly
-    /// engine; anything else routes through [`crate::clock`].
+    /// Execution-step length in seconds (default 3600): battery
+    /// scenarios split each hour into `3600 / dt` steps, intermittent
+    /// ones run `dt`-second epochs on [`crate::clock`].
     pub(crate) dt_seconds: u32,
     /// Capacitor-scale intermittent operation, when configured.
     pub(crate) intermittent: Option<IntermittentConfig>,
@@ -187,17 +187,20 @@ impl Scenario {
         self.intermittent.as_ref()
     }
 
-    /// `true` when running this scenario takes the event-driven core
-    /// ([`crate::clock`]) instead of the scalar hourly loop: a sub-hour
-    /// `dt` or an [`IntermittentConfig`] is set.
+    /// `true` when the scenario leaves the plain one-step hour: a
+    /// sub-hour `dt` (the hour loop then executes each hour as
+    /// `3600 / dt` equal steps) or an [`IntermittentConfig`] (the
+    /// scenario runs on the event-driven core, [`crate::clock`]).
     #[must_use]
     pub fn uses_event_core(&self) -> bool {
         self.dt_seconds != 3600 || self.intermittent.is_some()
     }
 
-    /// Runs the scenario on the event-driven core regardless of
-    /// configuration, returning the report *plus* the core's event
-    /// statistics and energy ledger ([`crate::ClockStats`]).
+    /// Runs the scenario, returning the report *plus* the event core's
+    /// statistics and energy ledger ([`crate::ClockStats`]). Only
+    /// intermittent scenarios run on the event core; a battery
+    /// scenario's report is exactly [`Scenario::run`]'s, with its step
+    /// count and offered harvest as the stats and no event log.
     ///
     /// # Errors
     ///
@@ -292,9 +295,10 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the event core's execution-epoch length in seconds (default
-    /// 3600 = one hour). Must divide an hour evenly. Any value other
-    /// than 3600 routes the scenario through the event-driven core.
+    /// Sets the execution-step length in seconds (default 3600 = one
+    /// hour). Must divide an hour evenly. A battery scenario executes
+    /// each hour as `3600 / dt` equal steps; an intermittent one runs
+    /// `dt`-second epochs on the event core.
     #[must_use]
     pub fn dt_seconds(mut self, dt_seconds: u32) -> Self {
         self.dt_seconds = dt_seconds;
@@ -312,7 +316,9 @@ impl ScenarioBuilder {
 
     /// Records the event core's event stream in
     /// [`VdtRun::events`](crate::VdtRun::events) (default off — the log
-    /// exists for crash-point harnesses, not production runs).
+    /// exists for crash-point harnesses, not production runs). The log
+    /// covers intermittent runs; battery scenarios run no event core and
+    /// log nothing.
     #[must_use]
     pub fn trace_events(mut self, trace_events: bool) -> Self {
         self.trace_events = trace_events;

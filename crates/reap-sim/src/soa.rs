@@ -9,11 +9,12 @@
 //! * fleet state lives in flat arrays (battery joules, EWMA slots,
 //!   accumulators as `Vec<f64>`; cohort ids as `Vec<u32>`), stepped by
 //!   tight per-hour kernels that allocate nothing per user;
-//! * users sharing `(operating points, alpha)` form a *cohort* and
-//!   resolve through one cached [`FrontierTable`](reap_core::FrontierTable)
-//!   — the frontier build is
-//!   shared and each hourly budget lookup is a pointer-free linear
-//!   interpolation ([`reap_core::FrontierTable::eval`]);
+//! * users sharing `(operating points, alpha)` form a *cohort*
+//!   ([`UserParams::cohort_key`](crate::UserParams::cohort_key)); every
+//!   cohort's frontier is one run of a single
+//!   [`FrontierTable`] arena, so the frontier build is shared and each
+//!   hourly budget lookup is a pointer-free linear interpolation
+//!   ([`FrontierTable::eval`]);
 //! * users on the same harvest source share one base trace and store
 //!   only their [`TracePerturbation`](reap_harvest::TracePerturbation)
 //!   (16 bytes) instead of a materialized month;
@@ -36,9 +37,9 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use reap_core::{OperatingPoint, ReapProblem};
+use reap_core::{FrontierTable, OperatingPoint, ReapProblem, TableVertex};
 use reap_harvest::{Battery, SourceKind};
-use reap_units::Power;
+use reap_units::{Power, TimeSpan};
 
 use crate::engine::Policy;
 use crate::fleet::Fleet;
@@ -92,19 +93,6 @@ struct CachedPlan {
     pen_j: f64,
 }
 
-/// One frontier breakpoint in the cohort vertex arena:
-/// [`reap_core::FrontierTable`]'s per-vertex columns interleaved, so one
-/// budget eval touches a single contiguous ~200-byte run instead of five
-/// heap arrays behind a table pointer.
-#[derive(Debug, Clone, Copy)]
-struct Vert {
-    budget: f64,
-    acc: f64,
-    pow_w: f64,
-    id: u8,
-    has: bool,
-}
-
 /// A contiguous run of permuted users sharing `(base trace, phase)`, so
 /// the hour kernel hoists the base-trace lookup out of the user loop.
 #[derive(Debug, Clone, Copy)]
@@ -115,11 +103,11 @@ struct Group {
     phase: u32,
 }
 
-/// How the hour kernel plans: the cohort frontier vertex arena for REAP,
-/// cohort point scalars for the statics, or not at all (scalar fallback).
+/// How the hour kernel plans: the cohort frontier arena for REAP, cohort
+/// point scalars for the statics, or not at all (scalar fallback).
 #[derive(Debug)]
 enum PlanKernel {
-    Reap,
+    Reap(FrontierTable),
     Static(Vec<StaticPoint>),
     Scalar,
 }
@@ -160,13 +148,6 @@ pub struct SoaFleet {
     cohort: Vec<u32>,
     /// Contiguous `(trace, phase)` runs over permuted positions.
     groups: Vec<Group>,
-    /// Frontier vertices of every REAP cohort, one interleaved arena.
-    /// Cohorts are numbered in permuted first-use order, so the hour
-    /// kernel reads this in ascending offsets across a shard.
-    verts: Vec<Vert>,
-    /// Per cohort: its vertex run is `verts[vert_off[c]..vert_off[c+1]]`
-    /// (`cohorts + 1` entries; empty unless the kernel is REAP).
-    vert_off: Vec<u32>,
     /// Per cohort: the plan at the budget floor.
     floor_plan: Vec<CachedPlan>,
     /// Per cohort: the plan at frontier saturation.
@@ -212,9 +193,7 @@ impl SoaFleet {
             traces.push(base.iter().map(|e| e.joules()).collect());
         }
 
-        // Per-user parameters and cohort deduplication. The cohort key is
-        // the exact bit pattern of (alpha, per-point id/accuracy/power):
-        // cohort mates share every input of the frontier build.
+        // Per-user parameters and cohort deduplication.
         let wants_tables = matches!(fleet.policy, Policy::Reap | Policy::Static(_))
             && fleet.intermittent.is_none()
             && fleet.dt_seconds == 3600;
@@ -227,13 +206,7 @@ impl SoaFleet {
             let params = fleet.user_params(u as u32)?;
             gain_user[u] = params.perturbation.gain();
             phase_user[u] = params.perturbation.phase_hours();
-            let mut key = Vec::with_capacity(1 + 3 * params.points.len());
-            key.push(params.alpha.to_bits());
-            for p in &params.points {
-                key.push(u64::from(p.id()));
-                key.push(p.accuracy().to_bits());
-                key.push(p.power().watts().to_bits());
-            }
+            let key = params.cohort_key();
             cohort_user[u] = match cohort_map.get(&key) {
                 Some(&id) => id,
                 None => {
@@ -291,16 +264,18 @@ impl SoaFleet {
         let battery = Battery::small_wearable();
         let eff_d = battery.discharge_efficiency();
 
-        // Build every cohort's plan data in renumbered order: the shared
-        // frontier vertex arena plus the two constant plan regimes (see
-        // [`CachedPlan`]). The cached plans are plain `FrontierTable`
-        // eval results, so resolving an hour from them is bit-identical
-        // to evaluating the table at any budget in the regime.
+        // Build every cohort's plan data in renumbered order: its run of
+        // the shared frontier arena plus the two constant plan regimes
+        // (see [`CachedPlan`]). The cached plans are plain
+        // `FrontierTable` eval results, so resolving an hour from them is
+        // bit-identical to evaluating the table at any budget in the
+        // regime. Cohorts are numbered in permuted first-use order, so
+        // the hour kernel reads the arena in ascending offsets across a
+        // shard.
         let mut floor_j = Power::from_microwatts(50.0).watts() * 3600.0;
         let mut tp_s = 3600.0;
         let mut off_w = Power::from_microwatts(50.0).watts();
-        let mut verts: Vec<Vert> = Vec::new();
-        let mut vert_off: Vec<u32> = Vec::new();
+        let mut table = FrontierTable::new(TimeSpan::from_hours(1.0), Power::from_microwatts(50.0));
         let mut statics: Vec<StaticPoint> = Vec::new();
         let mut floor_plan = Vec::with_capacity(cohorts as usize);
         let mut sat_plan = Vec::with_capacity(cohorts as usize);
@@ -323,21 +298,10 @@ impl SoaFleet {
                 off_w = problem.off_power().watts();
                 match fleet.policy {
                     Policy::Reap => {
-                        let t = problem.frontier().table();
-                        vert_off.push(verts.len() as u32);
-                        for k in 0..t.len() {
-                            let (budget, acc, pow_w, id, has) = t.vertex(k);
-                            verts.push(Vert {
-                                budget,
-                                acc,
-                                pow_w,
-                                id,
-                                has,
-                            });
-                        }
-                        floor_plan.push(cache(t.eval(floor_j)));
-                        let sb = t.max_budget_j();
-                        sat_plan.push(cache(t.eval(sb)));
+                        let c = table.push(&problem.frontier())?;
+                        floor_plan.push(cache(table.eval(c, floor_j)));
+                        let sb = table.max_budget_j(c);
+                        sat_plan.push(cache(table.eval(c, sb)));
                         sat_budget.push(sb);
                     }
                     Policy::Static(pid) => {
@@ -368,10 +332,9 @@ impl SoaFleet {
                     }
                 }
             }
-            vert_off.push(verts.len() as u32);
         }
         let kernel = match fleet.policy {
-            Policy::Reap if wants_tables => PlanKernel::Reap,
+            Policy::Reap if wants_tables => PlanKernel::Reap(table),
             Policy::Static(_) if wants_tables => PlanKernel::Static(statics),
             _ => PlanKernel::Scalar,
         };
@@ -395,8 +358,6 @@ impl SoaFleet {
             gain,
             cohort,
             groups,
-            verts,
-            vert_off,
             floor_plan,
             sat_plan,
             sat_budget,
@@ -447,8 +408,10 @@ impl SoaFleet {
         let mut shared = self.traces.iter().map(|t| t.len() * f).sum::<usize>();
         shared += self.groups.len() * std::mem::size_of::<Group>();
         match &self.kernel {
-            PlanKernel::Reap => {
-                shared += self.verts.len() * std::mem::size_of::<Vert>() + self.vert_off.len() * 4;
+            PlanKernel::Reap(table) => {
+                let verts: usize = (0..table.cohorts()).map(|c| table.vertices(c).len()).sum();
+                shared +=
+                    verts * std::mem::size_of::<TableVertex>() + (table.cohorts() as usize + 1) * 4;
             }
             PlanKernel::Static(statics) => {
                 shared += statics.len() * std::mem::size_of::<StaticPoint>();
@@ -690,7 +653,7 @@ impl SoaFleet {
             // static duty-cycle formula. All three produce the scalar
             // engine's schedule scalars bit for bit.
             match &self.kernel {
-                PlanKernel::Reap => {
+                PlanKernel::Reap(table) => {
                     for u in 0..nu {
                         let c = cohort[u] as usize;
                         let budget = budget_t[u];
@@ -701,38 +664,37 @@ impl SoaFleet {
                             let p = self.sat_plan[c];
                             (p.acc, p.act_s, p.pen_j)
                         } else {
-                            let lo = self.vert_off[c] as usize;
-                            let hi = self.vert_off[c + 1] as usize;
-                            let verts = &self.verts[lo..hi];
+                            let verts = table.vertices(cohort[u]);
                             // The first frontier segment — an off vertex
                             // at the floor blending into the cheapest
                             // point — absorbs nearly every interior
                             // budget (~94% in the bench fleet), so it
                             // gets a straight-line transliteration of
-                            // [`eval_verts`] for exactly that vertex
-                            // shape; everything else takes the general
-                            // walk.
+                            // [`FrontierTable::eval`] for exactly that
+                            // vertex shape; everything else takes the
+                            // general walk.
                             let seg0 = verts.len() >= 2
-                                && budget < verts[1].budget
-                                && !verts[0].has
-                                && verts[1].has;
+                                && budget < verts[1].budget_j
+                                && !verts[0].has_point
+                                && verts[1].has_point;
                             if seg0 {
-                                let lo_b = verts[0].budget;
+                                let lo_b = verts[0].budget_j;
                                 let lambda =
-                                    ((budget - lo_b) / (verts[1].budget - lo_b)).clamp(0.0, 1.0);
+                                    ((budget - lo_b) / (verts[1].budget_j - lo_b)).clamp(0.0, 1.0);
                                 let t = lambda * tp;
                                 let off_s = (tp - t).max(0.0);
                                 if lambda > 0.0 && t > DROP_S {
                                     (
-                                        verts[1].acc * (t / tp),
+                                        verts[1].accuracy * (t / tp),
                                         t,
-                                        verts[1].pow_w * t + off_w * off_s,
+                                        verts[1].power_w * t + off_w * off_s,
                                     )
                                 } else {
                                     (0.0, 0.0, off_w * off_s)
                                 }
                             } else {
-                                eval_verts(verts, floor_j, tp, off_w, budget)
+                                let e = table.eval(cohort[u], budget);
+                                (e.accuracy, e.active_s, e.energy_j)
                             }
                         };
                         pacc_t[u] = pacc;
@@ -806,91 +768,6 @@ impl SoaFleet {
             })
             .collect()
     }
-}
-
-/// Evaluates a cohort's frontier at `budget_j` from its arena slice:
-/// [`reap_core::FrontierTable::eval`] transliterated onto the interleaved
-/// vertices, returning the same `(accuracy, active_s, energy_j)` bit for
-/// bit (the `soa_equivalence` proptests pin this against the scalar
-/// engine, which plans through the original frontier).
-#[inline]
-fn eval_verts(
-    verts: &[Vert],
-    min_budget_j: f64,
-    tp: f64,
-    off_w: f64,
-    budget_j: f64,
-) -> (f64, f64, f64) {
-    // `f64::max` maps NaN to the floor too, matching `Energy::max`.
-    let b = budget_j.max(min_budget_j);
-    let last = verts.len() - 1;
-    let (k, lambda) = if last == 0 {
-        (0, 0.0)
-    } else if b >= verts[last].budget {
-        (last - 1, 1.0)
-    } else {
-        // First vertex with budget > b. The table walks a data-dependent
-        // `while`; counting over the ascending budgets lands on the same
-        // index without the unpredictable branch.
-        let mut cnt = 0usize;
-        for v in &verts[1..last] {
-            cnt += usize::from(v.budget <= b);
-        }
-        let hi = 1 + cnt;
-        let lo_b = verts[hi - 1].budget;
-        (
-            hi - 1,
-            ((b - lo_b) / (verts[hi].budget - lo_b)).clamp(0.0, 1.0),
-        )
-    };
-    let hi_idx = (k + 1).min(last);
-
-    // Durations exactly as `PlanFrontier::solve` pushes them; the off
-    // time complements the *raw* active time (drops below come after).
-    let mut n = 0usize;
-    let mut dur = [0.0f64; 2];
-    let mut acc = [0.0f64; 2];
-    let mut pow = [0.0f64; 2];
-    let mut ids = [0u8; 2];
-    let mut active_raw = 0.0;
-    if verts[k].has {
-        let t = (1.0 - lambda) * tp;
-        active_raw += t;
-        dur[n] = t;
-        acc[n] = verts[k].acc;
-        pow[n] = verts[k].pow_w;
-        ids[n] = verts[k].id;
-        n = 1;
-    }
-    if lambda > 0.0 && verts[hi_idx].has {
-        let t = lambda * tp;
-        active_raw += t;
-        dur[n] = t;
-        acc[n] = verts[hi_idx].acc;
-        pow[n] = verts[hi_idx].pow_w;
-        ids[n] = verts[hi_idx].id;
-        n += 1;
-    }
-    let off_s = (tp - active_raw).max(0.0);
-
-    // `Schedule::new` sorts by point id and drops sub-microsecond
-    // allocations; the sums below run in the same (id) order.
-    if n == 2 && ids[1] < ids[0] {
-        dur.swap(0, 1);
-        acc.swap(0, 1);
-        pow.swap(0, 1);
-    }
-    let mut accuracy = 0.0;
-    let mut active_s = 0.0;
-    let mut active_e = 0.0;
-    for j in 0..n {
-        if dur[j] > DROP_S {
-            accuracy += acc[j] * (dur[j] / tp);
-            active_s += dur[j];
-            active_e += pow[j] * dur[j];
-        }
-    }
-    (accuracy, active_s, active_e + off_w * off_s)
 }
 
 #[cfg(test)]

@@ -1,16 +1,15 @@
-//! Variable-dt-vs-scalar equivalence: the event-driven core
-//! ([`Scenario::run_event_driven`]) at `dt = 3600` with intermittency
-//! disabled must reproduce the scalar hourly engine ([`Scenario::run`])
-//! **bit for bit on every policy** — the same pin the SoA fleet core
-//! carries. Both engines route through the same extracted hour planner
-//! and execution step, so at one step per hour the event core performs
-//! literally the same arithmetic in the same order; these tests keep it
-//! that way.
+//! Variable-dt-vs-scalar equivalence: on a battery scenario
+//! [`Scenario::run_event_driven`] must return exactly the hour loop's
+//! report ([`Scenario::run`]) **bit for bit on every policy**, with one
+//! committed step per trace hour at `dt = 3600` — the same pin the SoA
+//! fleet core carries. Only intermittent scenarios run on the event
+//! core; every battery scenario runs the one hour loop, so these tests
+//! keep the event-core entry point from growing a second battery path.
 //!
 //! Random scenarios cover all four [`SourceKind`]s, every allocator,
 //! both budget modes, and every scalar-capable policy (REAP, all five
 //! statics, receding-horizon MPC at several lookaheads). A second,
-//! seeded suite checks the sub-hour battery mode against the scalar
+//! seeded suite checks the sub-hour stepped loop against the hourly
 //! run's open-loop budgets.
 
 use proptest::prelude::*;
@@ -115,7 +114,7 @@ proptest! {
         // fraction, battery level — compares exactly equal, not within
         // a tolerance.
         prop_assert_eq!(&event.report, &scalar, "{} diverged", setup.policy);
-        // Battery mode commits exactly one epoch per trace hour.
+        // A battery run commits exactly one step per trace hour.
         let hours = u64::from(setup.days) * 24;
         prop_assert_eq!(event.stats.epochs_committed, hours);
     }
@@ -147,9 +146,9 @@ fn every_policy_is_bit_identical_on_one_seeded_month() {
 
 #[test]
 fn sub_hour_dt_keeps_open_loop_budgets_and_converges_on_the_scalar_run() {
-    // At dt < 3600 the battery-mode core splits each hour's plan into
-    // equal steps. Open-loop budgets depend only on the trace, so they
-    // must stay bitwise equal to the scalar engine's; execution differs
+    // At dt < 3600 the hour loop splits each hour's plan into equal
+    // steps. Open-loop budgets depend only on the trace, so they must
+    // stay bitwise equal to the one-step run's; execution differs
     // only by when within the hour the battery clamps, which is float
     // noise whenever the store never pins — so levels track to 1e-9 J.
     for dt in [1800u32, 900, 600, 60] {
@@ -168,7 +167,7 @@ fn sub_hour_dt_keeps_open_loop_budgets_and_converges_on_the_scalar_run() {
                 .build()
                 .unwrap();
             assert!(sub.uses_event_core());
-            // `Scenario::run` itself dispatches to the event core here.
+            // `Scenario::run` itself takes the stepped hour loop here.
             let run = sub.run(Policy::Reap).unwrap();
             assert_eq!(run.hours().len(), scalar.hours().len());
             for (e, s) in run.hours().iter().zip(scalar.hours()) {
