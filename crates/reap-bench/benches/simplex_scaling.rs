@@ -53,8 +53,9 @@ fn bench_horizon_planning(c: &mut Criterion) {
     // The 24-hour lookahead plan from the `reap-core` horizon planner (a
     // taut string through the battery tube, read off one frontier): how
     // much does joint planning cost compared to 24 independent simplex
-    // solves?
-    use reap_core::plan_horizon;
+    // solves? `joint_24h` builds all 24 schedules; `controller_24h` is the
+    // receding-horizon hot path.
+    use reap_core::{plan_horizon, RecedingHorizonController};
     let mut group = c.benchmark_group("horizon_planning");
     group.sample_size(20);
     let problem = synthetic_problem(5);
@@ -74,6 +75,26 @@ fn bench_horizon_planning(c: &mut Criterion) {
                 plan_horizon(
                     &problem,
                     black_box(&forecast),
+                    Energy::from_joules(30.0),
+                    Energy::from_joules(60.0),
+                )
+                .expect("plannable"),
+            )
+        });
+    });
+    // What MPC runs each hour: the controller re-plans a 24-hour window
+    // slid one hour along the day/night cycle (new information, so every
+    // call solves) and builds only the executed hour's schedule.
+    let cycle: Vec<Energy> = forecast.iter().chain(&forecast).copied().collect();
+    let mut mpc = RecedingHorizonController::new(problem.clone(), 24).expect("lookahead >= 1");
+    let mut start = 0;
+    group.bench_function("controller_24h", |b| {
+        b.iter(|| {
+            let window = &cycle[start..start + 24];
+            start = (start + 1) % 24;
+            black_box(
+                mpc.plan(
+                    black_box(window),
                     Energy::from_joules(30.0),
                     Energy::from_joules(60.0),
                 )

@@ -71,7 +71,11 @@
 //!
 //! **Schedules.** Period `j`'s outflow `F + Y_j - Y_{j-1}` becomes its
 //! schedule through [`PlanFrontier::solve`], which saturates at the
-//! frontier's last breakpoint; the excess is reported as spill.
+//! frontier's last breakpoint; the excess is reported as spill. The
+//! taut string itself yields only the outflows and the battery levels,
+//! so the receding-horizon controller keeps those and builds the
+//! schedule of the one period it executes; [`plan_horizon`] builds all
+//! of them.
 
 use reap_units::{Energy, TimeSpan};
 
@@ -129,22 +133,54 @@ pub fn plan_horizon(
     battery_level: Energy,
     battery_capacity: Energy,
 ) -> Result<HorizonPlan, ReapError> {
-    plan_on_frontier(
-        &problem.frontier(),
+    let frontier = problem.frontier();
+    let mut scratch = HorizonScratch::default();
+    plan_outflows(
+        &frontier,
         forecast,
         battery_level,
         battery_capacity,
-    )
+        &mut scratch,
+    )?;
+    let mut schedules = Vec::with_capacity(forecast.len());
+    let mut spills = Vec::with_capacity(forecast.len());
+    for &outflow in &scratch.outflow {
+        // The frontier saturates at its last breakpoint. Whatever the
+        // schedule does not burn is spilled, including the float dust of
+        // its sub-microsecond allocation drop, so the trajectory stays
+        // exact.
+        let schedule = frontier.solve(Energy::from_joules(outflow))?;
+        spills.push(Energy::from_joules(
+            (outflow - schedule.energy().joules()).max(0.0),
+        ));
+        schedules.push(schedule);
+    }
+    Ok(HorizonPlan {
+        schedules,
+        battery_trajectory: scratch.level.into_iter().map(Energy::from_joules).collect(),
+        spills,
+    })
 }
 
-/// [`plan_horizon`] on a prebuilt frontier of the problem, so a caller
-/// that re-plans every period builds the frontier once.
-pub(crate) fn plan_on_frontier(
-    frontier: &PlanFrontier,
+/// The reused buffers of one taut-string solve: the tube, the path, and
+/// the per-period outflows and levels [`plan_outflows`] leaves behind.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct HorizonScratch {
+    lower: Vec<f64>,
+    upper: Vec<f64>,
+    path: Vec<f64>,
+    /// Planned outflow (consumption plus spill) of each period, J.
+    pub(crate) outflow: Vec<f64>,
+    /// Planned battery level at the end of each period, J.
+    pub(crate) level: Vec<f64>,
+}
+
+/// Rejects a window [`plan_horizon`] cannot plan (see its `# Errors`).
+pub(crate) fn validate(
     forecast: &[Energy],
     battery_level: Energy,
     battery_capacity: Energy,
-) -> Result<HorizonPlan, ReapError> {
+) -> Result<(), ReapError> {
     if forecast.is_empty() {
         return Err(ReapError::InvalidParameter("empty forecast".into()));
     }
@@ -163,34 +199,54 @@ pub(crate) fn plan_on_frontier(
             "battery state {battery_level} / {battery_capacity} is invalid"
         )));
     }
+    Ok(())
+}
 
+/// The taut-string plan of `forecast` on `frontier`, written into
+/// `scratch`: each period's outflow and end-of-period battery level. No
+/// schedule is built, so a caller that re-plans every period pays for
+/// the one it executes.
+///
+/// # Errors
+///
+/// As [`plan_horizon`].
+pub(crate) fn plan_outflows(
+    frontier: &PlanFrontier,
+    forecast: &[Energy],
+    battery_level: Energy,
+    battery_capacity: Energy,
+    scratch: &mut HorizonScratch,
+) -> Result<(), ReapError> {
+    validate(forecast, battery_level, battery_capacity)?;
+    let HorizonScratch {
+        lower,
+        upper,
+        path,
+        outflow,
+        level: levels,
+    } = scratch;
     let floor = frontier.floor_j();
     let capacity = battery_capacity.joules();
-    let (lower, upper) = tube(forecast, battery_level.joules(), capacity, floor)?;
-    let path = taut_string(&lower, &upper);
+    tube(
+        forecast,
+        battery_level.joules(),
+        capacity,
+        floor,
+        lower,
+        upper,
+    )?;
+    taut_string(lower, upper, path);
 
-    let mut schedules = Vec::with_capacity(forecast.len());
-    let mut battery_trajectory = Vec::with_capacity(forecast.len());
-    let mut spills = Vec::with_capacity(forecast.len());
+    outflow.clear();
+    levels.clear();
     let mut level = battery_level.joules();
     for (harvest, step) in forecast.iter().zip(path.windows(2)) {
-        let outflow = floor + (step[1] - step[0]).max(0.0);
-        // The frontier saturates at its last breakpoint. Whatever the
-        // schedule does not burn is spilled, including the float dust of
-        // its sub-microsecond allocation drop, so the trajectory below
-        // stays exact.
-        let schedule = frontier.solve(Energy::from_joules(outflow))?;
-        let spill = (outflow - schedule.energy().joules()).max(0.0);
-        level = (level + harvest.joules() - outflow).clamp(0.0, capacity);
-        schedules.push(schedule);
-        battery_trajectory.push(Energy::from_joules(level));
-        spills.push(Energy::from_joules(spill));
+        let out = floor + (step[1] - step[0]).max(0.0);
+        level = (level + harvest.joules() - out).clamp(0.0, capacity);
+        outflow.push(out);
+        levels.push(level);
     }
-    Ok(HorizonPlan {
-        schedules,
-        battery_trajectory,
-        spills,
-    })
+    Ok(())
 }
 
 /// The floor-enveloped tube `(lower, upper)` of the cumulative outflow
@@ -205,9 +261,11 @@ fn tube(
     level: f64,
     capacity: f64,
     floor: f64,
-) -> Result<(Vec<f64>, Vec<f64>), ReapError> {
-    let mut upper = Vec::with_capacity(forecast.len() + 1);
-    let mut lower = Vec::with_capacity(forecast.len() + 1);
+    lower: &mut Vec<f64>,
+    upper: &mut Vec<f64>,
+) -> Result<(), ReapError> {
+    upper.clear();
+    lower.clear();
     upper.push(0.0);
     lower.push(0.0);
     let mut top = level;
@@ -222,7 +280,7 @@ fn tube(
     for j in (1..forecast.len()).rev() {
         upper[j] = upper[j].min(upper[j + 1]);
     }
-    for (lo, &hi) in lower.iter_mut().zip(&upper) {
+    for (lo, &hi) in lower.iter_mut().zip(upper.iter()) {
         if *lo > hi + CROSSING_TOLERANCE_J {
             return Err(ReapError::InfeasibleHorizon);
         }
@@ -230,20 +288,21 @@ fn tube(
     }
     let end = forecast.len();
     lower[end] = upper[end];
-    Ok((lower, upper))
+    Ok(())
 }
 
 /// The taut string through `lower[j] <= y[j] <= upper[j]` between the
-/// pinned ends `y[0]` and `y[H] = upper[H]`.
+/// pinned ends `y[0]` and `y[H] = upper[H]`, written into `path`.
 ///
 /// Funnel scan: from the current vertex, walk forward keeping the cone of
 /// slopes that clear every lower bound and stay under every upper bound
 /// seen so far. When a new column falls outside the cone, the string
 /// bends at the contact that set the violated side of the cone and the
 /// scan restarts there.
-fn taut_string(lower: &[f64], upper: &[f64]) -> Vec<f64> {
+fn taut_string(lower: &[f64], upper: &[f64], path: &mut Vec<f64>) {
     let end = upper.len() - 1;
-    let mut path = vec![0.0; end + 1];
+    path.clear();
+    path.resize(end + 1, 0.0);
     let mut from = 0;
     while from < end {
         let y0 = path[from];
@@ -281,7 +340,6 @@ fn taut_string(lower: &[f64], upper: &[f64]) -> Vec<f64> {
         path[to] = y1;
         from = to;
     }
-    path
 }
 
 #[cfg(test)]

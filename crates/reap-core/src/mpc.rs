@@ -12,16 +12,19 @@
 //! Two practicalities separate this from naively calling [`plan_horizon`]
 //! in a loop:
 //!
-//! * **Warm starting.** After each solve the controller keeps the
-//!   not-yet-executed tail of the plan together with the forecast it was
-//!   solved against and the predicted battery trajectory. When the next
-//!   call brings *no new information* — the window shrank by exactly the
+//! * **Warm starting.** A solve keeps the planned outflow and
+//!   end-of-period battery level of every period in reused buffers, with
+//!   a copy of the window and the capacity it was solved against; a
+//!   schedule is built only when its period executes. When the next call
+//!   brings *no new information* — the window shrank by exactly the
 //!   executed period (the shrinking-horizon endgame near the end of a
-//!   trace), the remaining forecast is unchanged, and the battery landed
-//!   where the plan predicted — the cached tail is provably still
-//!   optimal and is executed without re-solving. Any deviation (new
-//!   forecast entries, forecast revisions, brownouts) triggers a fresh
-//!   solve.
+//!   trace), the remaining forecast is unchanged, the battery landed
+//!   where the plan predicted, and the capacity is the same — the cached
+//!   plan is provably still optimal and its next period executes without
+//!   re-solving. Any deviation (new forecast entries, forecast revisions,
+//!   brownouts) triggers a fresh solve. Past the one returned
+//!   [`Schedule`], a plan allocates nothing once the buffers have grown
+//!   to the lookahead.
 //! * **Starvation fallback.** The joint plan forces every period to pay the
 //!   off-state floor `P_off * TP`; a dark window with a dead battery
 //!   makes it infeasible. A real device cannot throw an error at
@@ -30,12 +33,10 @@
 //!
 //! [`plan_horizon`]: crate::plan_horizon
 
-use std::collections::VecDeque;
-
 use reap_units::Energy;
 
 use crate::frontier::PlanFrontier;
-use crate::horizon::plan_on_frontier;
+use crate::horizon::{plan_outflows, validate, HorizonScratch};
 use crate::schedule::Schedule;
 use crate::{ReapError, ReapProblem};
 
@@ -44,14 +45,19 @@ use crate::{ReapError, ReapProblem};
 /// plan; anything finer defeats reuse through harmless float noise.
 const REUSE_TOLERANCE_J: f64 = 1e-9;
 
-/// The cached remainder of the last solve: schedules not yet executed,
-/// the forecast entries they were solved against, and the battery level
-/// each of them expects to start from.
-#[derive(Debug, Clone, PartialEq)]
+/// What the last solve was solved against. Its outflows and levels stay
+/// in the controller's [`HorizonScratch`]; the buffers are reused across
+/// solves, so the cache is invalidated by a flag, not dropped.
+#[derive(Debug, Clone, Default, PartialEq)]
 struct PendingPlan {
-    schedules: VecDeque<Schedule>,
-    forecast_tail: Vec<Energy>,
-    start_levels: VecDeque<Energy>,
+    /// The window of the last solve.
+    window: Vec<Energy>,
+    /// The bits of the battery capacity it was solved for.
+    capacity_bits: u64,
+    /// The next period of the window to execute.
+    next: usize,
+    /// Whether the rest of the window may still be executed as planned.
+    valid: bool,
 }
 
 /// Receding-horizon runtime controller (see module docs).
@@ -79,7 +85,8 @@ pub struct RecedingHorizonController {
     problem: ReapProblem,
     frontier: PlanFrontier,
     lookahead: usize,
-    pending: Option<PendingPlan>,
+    scratch: HorizonScratch,
+    pending: PendingPlan,
     solves: u64,
     reuses: u64,
     fallbacks: u64,
@@ -104,7 +111,8 @@ impl RecedingHorizonController {
             frontier: problem.frontier(),
             problem,
             lookahead,
-            pending: None,
+            scratch: HorizonScratch::default(),
+            pending: PendingPlan::default(),
             solves: 0,
             reuses: 0,
             fallbacks: 0,
@@ -159,67 +167,75 @@ impl RecedingHorizonController {
         battery_level: Energy,
         battery_capacity: Energy,
     ) -> Result<Schedule, ReapError> {
-        if forecast.is_empty() {
-            return Err(ReapError::InvalidParameter("empty forecast".into()));
-        }
         let window = &forecast[..forecast.len().min(self.lookahead)];
+        // A rejected call leaves the cache as it was.
+        validate(window, battery_level, battery_capacity)?;
 
-        if let Some(schedule) = self.try_reuse(window, battery_level) {
+        let period = if let Some(period) = self.try_reuse(window, battery_level, battery_capacity) {
             self.reuses += 1;
-            return Ok(schedule);
-        }
-
-        match plan_on_frontier(&self.frontier, window, battery_level, battery_capacity) {
-            Ok(plan) => {
-                self.solves += 1;
-                let mut schedules: VecDeque<Schedule> = plan.schedules.into();
-                let first = schedules.pop_front().expect("window is non-empty");
-                // The tail starts from the trajectory's planned levels:
-                // entry h of the trajectory is the level *after* period h,
-                // i.e. the level the (h+1)-th schedule expects to inherit.
-                let mut start_levels: VecDeque<Energy> = plan.battery_trajectory.into();
-                start_levels.pop_back();
-                self.pending = Some(PendingPlan {
-                    schedules,
-                    forecast_tail: window[1..].to_vec(),
-                    start_levels,
-                });
-                Ok(first)
+            period
+        } else {
+            match plan_outflows(
+                &self.frontier,
+                window,
+                battery_level,
+                battery_capacity,
+                &mut self.scratch,
+            ) {
+                Ok(()) => {}
+                Err(ReapError::InfeasibleHorizon) => {
+                    // Starved window: the device cannot even pay the
+                    // off-state floor everywhere. Go dark this period and
+                    // re-plan next period with whatever has been harvested.
+                    self.fallbacks += 1;
+                    return self.problem.solve(self.problem.min_budget());
+                }
+                // Invalid inputs are caller bugs: they must surface, not
+                // be papered over with a dark device.
+                Err(e) => return Err(e),
             }
-            Err(ReapError::InfeasibleHorizon) => {
-                // Starved window: the device cannot even pay the
-                // off-state floor everywhere. Go dark this period and
-                // re-plan next period with whatever has been harvested.
-                self.fallbacks += 1;
-                self.pending = None;
-                self.problem.solve(self.problem.min_budget())
-            }
-            // Invalid inputs are caller bugs: they must surface, not be
-            // papered over with a dark device.
-            Err(e) => Err(e),
-        }
+            self.solves += 1;
+            let pending = &mut self.pending;
+            pending.window.clear();
+            pending.window.extend_from_slice(window);
+            pending.capacity_bits = battery_capacity.joules().to_bits();
+            pending.next = 1;
+            pending.valid = true;
+            0
+        };
+        self.frontier
+            .solve(Energy::from_joules(self.scratch.outflow[period]))
     }
 
-    /// Pops the cached tail if — and only if — the new window carries no
-    /// information the cached plan did not already account for.
-    fn try_reuse(&mut self, window: &[Energy], battery_level: Energy) -> Option<Schedule> {
-        let pending = self.pending.as_mut()?;
-        let matches = !pending.schedules.is_empty()
-            && window.len() == pending.forecast_tail.len()
+    /// The cached period to execute next if — and only if — the new
+    /// window carries no information the cached plan did not already
+    /// account for: the rest of the solved window, the battery where the
+    /// plan left it, and the same capacity. Anything else invalidates the
+    /// cache.
+    fn try_reuse(
+        &mut self,
+        window: &[Energy],
+        battery_level: Energy,
+        battery_capacity: Energy,
+    ) -> Option<usize> {
+        let pending = &mut self.pending;
+        let next = pending.next;
+        let matches = pending.valid
+            && pending.capacity_bits == battery_capacity.joules().to_bits()
+            && pending.window[next..].len() == window.len()
             && window
                 .iter()
-                .zip(&pending.forecast_tail)
+                .zip(&pending.window[next..])
                 .all(|(a, b)| (a.joules() - b.joules()).abs() <= REUSE_TOLERANCE_J)
-            && pending.start_levels.front().is_some_and(|&expected| {
-                (expected.joules() - battery_level.joules()).abs() <= REUSE_TOLERANCE_J
-            });
+            // Entry `h` of the planned levels is the level *after* period
+            // `h`, i.e. the level period `h + 1` expects to inherit.
+            && (self.scratch.level[next - 1] - battery_level.joules()).abs() <= REUSE_TOLERANCE_J;
         if !matches {
-            self.pending = None;
+            pending.valid = false;
             return None;
         }
-        pending.forecast_tail.remove(0);
-        pending.start_levels.pop_front();
-        pending.schedules.pop_front()
+        pending.next += 1;
+        Some(next)
     }
 }
 
@@ -336,6 +352,41 @@ mod tests {
         let _ = c.plan(&forecast[1..], joules(0.3), cap).unwrap();
         assert_eq!(c.solves(), 2);
         assert_eq!(c.reuses(), 0);
+    }
+
+    #[test]
+    fn cached_tail_still_validates_the_capacity() {
+        let mut c = RecedingHorizonController::new(paper_problem(), 8).unwrap();
+        let forecast: Vec<Energy> = vec![3.0, 1.0, 0.5].into_iter().map(joules).collect();
+        let cap = joules(60.0);
+        let joint = plan_horizon(&paper_problem(), &forecast, joules(5.0), cap).unwrap();
+        let _ = c.plan(&forecast, joules(5.0), cap).unwrap();
+        // The window and the level match the cached plan, but a capacity
+        // below the level is not a battery state at all.
+        let level = joint.battery_trajectory[0];
+        let result = c.plan(&forecast[1..], level, level / 2.0);
+        assert!(
+            matches!(result, Err(ReapError::InvalidParameter(_))),
+            "{result:?}"
+        );
+        assert_eq!(c.reuses(), 0);
+        // The rejected call left the cache alone.
+        let s = c.plan(&forecast[1..], level, cap).unwrap();
+        assert_eq!(s, joint.schedules[1]);
+        assert_eq!((c.solves(), c.reuses()), (1, 1));
+    }
+
+    #[test]
+    fn changed_capacity_forces_a_resolve() {
+        let mut c = RecedingHorizonController::new(paper_problem(), 8).unwrap();
+        let forecast: Vec<Energy> = vec![3.0, 1.0, 0.5].into_iter().map(joules).collect();
+        let joint = plan_horizon(&paper_problem(), &forecast, joules(5.0), joules(60.0)).unwrap();
+        let _ = c.plan(&forecast, joules(5.0), joules(60.0)).unwrap();
+        let level = joint.battery_trajectory[0];
+        let s = c.plan(&forecast[1..], level, joules(30.0)).unwrap();
+        let fresh = plan_horizon(&paper_problem(), &forecast[1..], level, joules(30.0)).unwrap();
+        assert_eq!(s, fresh.schedules[0]);
+        assert_eq!((c.solves(), c.reuses()), (2, 0));
     }
 
     #[test]
