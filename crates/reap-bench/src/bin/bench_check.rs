@@ -18,7 +18,9 @@
 //! Each pair must share a known bench schema (`reap-bench/planner-v1`,
 //! `reap-bench/fleet-v2`, `reap-bench/mpc-v1`, `reap-bench/serve-v2`);
 //! the tracked throughput metrics per schema live in
-//! [`reap_bench::regression`]. The default threshold tolerates a 25%
+//! [`reap_bench::regression`]. A pair whose workload keys (population,
+//! horizon, request count) differ is refused as a workload mismatch
+//! rather than compared. The default threshold tolerates a 25%
 //! slowdown — wide enough for shared-runner noise, tight enough to catch
 //! a hot path falling off a cliff.
 
@@ -105,7 +107,7 @@ fn main() {
     }
     if failed {
         println!(
-            "bench regression gate FAILED (>{:.0}% slowdown)",
+            "bench regression gate FAILED (>{:.0}% slowdown, or a pair that cannot be compared)",
             threshold * 100.0
         );
         std::process::exit(1);

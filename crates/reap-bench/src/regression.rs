@@ -1,10 +1,11 @@
 //! Bench-baseline regression checking.
 //!
 //! The repo commits machine-readable perf baselines (`BENCH_planner.json`,
-//! `BENCH_fleet.json`, `BENCH_mpc.json`). CI regenerates each on every
-//! commit; this module compares the fresh numbers against the committed
-//! baseline and flags throughput regressions beyond a threshold — the
-//! logic behind the `bench_check` binary.
+//! `BENCH_fleet.json`, `BENCH_mpc.json`, ...). CI regenerates each on
+//! every commit; this module compares the fresh numbers against the
+//! committed baseline, refuses pairs whose workloads differ, and flags
+//! throughput regressions beyond a threshold — the logic behind the
+//! `bench_check` binary.
 //!
 //! The bench JSON is hand-written (the workspace is offline and carries
 //! no serde), so extraction is a deliberately small scanner over unique
@@ -75,6 +76,22 @@ pub fn metrics_for_schema(schema: &str) -> Option<&'static [Metric]> {
             direction: Direction::HigherIsBetter,
         }]),
         _ => None,
+    }
+}
+
+/// The keys that describe the workload a bench schema ran (population,
+/// horizon, request count). Two runs are comparable only when every one
+/// of them holds the same value in both: a `--quick` smoke run must not
+/// be gated against a full-protocol baseline.
+#[must_use]
+pub fn workload_keys(schema: &str) -> &'static [&'static str] {
+    match schema {
+        "reap-bench/planner-v1" => &["budget_j", "hours"],
+        "reap-bench/fleet-v1" | "reap-bench/fleet-v2" => &["users", "days"],
+        "reap-bench/mpc-v1" => &["days", "rel_error"],
+        "reap-bench/intermittent-v1" => &["users", "days", "dt_seconds", "blackout_fraction"],
+        "reap-bench/serve-v1" | "reap-bench/serve-v2" => &["users", "client_threads", "decisions"],
+        _ => &[],
     }
 }
 
@@ -176,7 +193,8 @@ pub struct Comparison {
 /// # Errors
 ///
 /// Returns a message when either document lacks a known `schema`, the
-/// schemas disagree, or a tracked metric is missing or non-positive.
+/// schemas disagree, the runs' [`workload_keys`] differ, or a tracked
+/// metric is missing or non-positive.
 pub fn compare(
     baseline_json: &str,
     fresh_json: &str,
@@ -193,6 +211,17 @@ pub fn compare(
     }
     let metrics =
         metrics_for_schema(schema).ok_or_else(|| format!("unknown bench schema {schema}"))?;
+    for key in workload_keys(schema) {
+        let (base, fresh) = (
+            extract_number(baseline_json, key),
+            extract_number(fresh_json, key),
+        );
+        if base != fresh {
+            return Err(format!(
+                "workload mismatch on {key}: baseline {base:?} vs fresh {fresh:?}"
+            ));
+        }
+    }
     let mut out = Vec::with_capacity(metrics.len());
     for metric in metrics {
         let baseline = extract_number(baseline_json, metric.key)
@@ -385,6 +414,35 @@ mod tests {
         let cmp = compare(fresh_v2, fresh_v2, 0.25).unwrap();
         assert_eq!(cmp[0].key, "decisions_per_s");
         assert!(!cmp[0].regressed);
+    }
+
+    #[test]
+    fn quick_serve_baseline_against_full_run_is_a_workload_mismatch() {
+        let quick = r#"{
+  "schema": "reap-bench/serve-v2",
+  "users": 64,
+  "client_threads": 8,
+  "decisions": 4000,
+  "decisions_per_s": 50987
+}"#;
+        let full = r#"{
+  "schema": "reap-bench/serve-v2",
+  "users": 2000,
+  "client_threads": 8,
+  "decisions": 200000,
+  "decisions_per_s": 277000
+}"#;
+        let err = compare(quick, full, 0.25).unwrap_err();
+        assert!(err.contains("workload mismatch"), "got: {err}");
+        assert!(err.contains("users"), "got: {err}");
+        // The same workload compares as before.
+        let cmp = compare(full, full, 0.25).unwrap();
+        assert!(!cmp[0].regressed);
+        // A workload key only one side records is a mismatch too.
+        let unlabeled = full.replace("\"client_threads\": 8,", "");
+        assert!(compare(full, &unlabeled, 0.25)
+            .unwrap_err()
+            .contains("workload mismatch"));
     }
 
     #[test]

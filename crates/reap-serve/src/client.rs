@@ -21,6 +21,10 @@ pub struct Client {
     reader: BufReader<Box<dyn Read + Send>>,
     writer: Box<dyn Write + Send>,
     users: u32,
+    /// The outgoing frame, reused across requests.
+    request: String,
+    /// The incoming frame, reused across replies.
+    reply: String,
 }
 
 fn protocol_io(e: impl std::fmt::Display) -> io::Error {
@@ -58,6 +62,8 @@ impl Client {
             reader: BufReader::new(Box::new(layer.wrap(read_half)) as Box<dyn Read + Send>),
             writer: Box::new(layer.wrap(write_half)),
             users: 0,
+            request: String::new(),
+            reply: String::new(),
         };
         let hello = Request::Hello {
             version: PROTOCOL_VERSION,
@@ -98,9 +104,10 @@ impl Client {
     ///
     /// I/O failures, a closed connection, or an undecodable response.
     pub fn request(&mut self, request: &Request) -> io::Result<Response> {
-        let mut line = request.encode();
-        line.push('\n');
-        self.writer.write_all(line.as_bytes())?;
+        self.request.clear();
+        request.encode_into(&mut self.request);
+        self.request.push('\n');
+        self.writer.write_all(self.request.as_bytes())?;
         self.writer.flush()?;
         self.read_response()
     }
@@ -118,14 +125,14 @@ impl Client {
     }
 
     fn read_response(&mut self) -> io::Result<Response> {
-        let mut reply = String::new();
-        let n = self.reader.read_line(&mut reply)?;
+        self.reply.clear();
+        let n = self.reader.read_line(&mut self.reply)?;
         if n == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
             ));
         }
-        Response::decode(reply.trim_end_matches(['\n', '\r'])).map_err(protocol_io)
+        Response::decode(self.reply.trim_end_matches(['\n', '\r'])).map_err(protocol_io)
     }
 }

@@ -3,9 +3,23 @@
 //! Every frame is one line of UTF-8 JSON terminated by `\n`, at most
 //! [`MAX_LINE_BYTES`] long, with a `"type"` tag naming the variant. The
 //! encoder and decoder are hand-rolled (the workspace is offline-vendored
-//! and carries no serde): a ~150-line recursive-descent JSON parser feeds
-//! typed extractors, and encoding is direct string building. `f64` fields
-//! are formatted with Rust's shortest-round-trip `Display`, so a value
+//! and carries no serde) and build no JSON tree.
+//!
+//! Decoding is one validating scan of the line, trailing bytes included,
+//! that picks out the frame's known keys as it goes. The **first**
+//! occurrence of a key wins; later duplicates and unknown keys are
+//! validated and dropped. Numbers are parsed in place with
+//! `str::parse::<f64>` and must be finite. Strings stay borrowed from the
+//! line and are unescaped only when read, and only if they hold an
+//! escape, so an escaped key such as `"us\u0065r"` still names `user`.
+//! Nested arrays and objects (`shares`, the `stats` sections) stay as
+//! validated spans that are re-scanned when the frame reads them.
+//! Nesting is bounded at 64 open containers, the frame's own object
+//! included: deeper input is [`ErrorCode::Malformed`], so no line can
+//! exhaust a connection thread's stack.
+//!
+//! Encoding writes straight into the caller's buffer. `f64` fields are
+//! formatted with Rust's shortest-round-trip `Display`, so a value
 //! decodes back to the exact same bits — the property the round-trip
 //! proptests pin.
 //!
@@ -18,7 +32,8 @@
 //! frame and the session continues (only oversized lines close the
 //! connection, because the frame boundary itself is no longer trusted).
 
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 /// Protocol version spoken by this build; bumped on any wire change
 /// (v2 added the `observe` sequence number for idempotent retries, the
@@ -324,30 +339,67 @@ impl From<ProtocolError> for Response {
 }
 
 // ---------------------------------------------------------------------
-// Minimal JSON value + parser
+// One-pass validating scanner
 // ---------------------------------------------------------------------
 
-/// A parsed JSON value (the subset the protocol needs; no nested-depth
-/// limit is required because frames are line-bounded).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
+/// Deepest container nesting a frame may carry, the frame's own object
+/// included. Deeper input is [`ErrorCode::Malformed`]; the bound is what
+/// keeps the scanner's recursion, and so one hostile line, from
+/// exhausting a connection thread's stack.
+const MAX_DEPTH: usize = 64;
+
+/// A JSON string as it sits in the line, quotes included. It is
+/// unescaped only when read, and only if it holds an escape.
+#[derive(Debug, Clone, Copy)]
+struct Text<'a> {
+    quoted: &'a str,
+    escaped: bool,
 }
 
-struct Parser<'a> {
+impl<'a> Text<'a> {
+    /// The decoded string: borrowed from the line unless it held an
+    /// escape.
+    fn read(self) -> Result<Cow<'a, str>, ProtocolError> {
+        if self.escaped {
+            let mut out = String::with_capacity(self.quoted.len());
+            Scanner::new(self.quoted).string(Some(&mut out))?;
+            return Ok(Cow::Owned(out));
+        }
+        self.quoted
+            .strip_prefix('"')
+            .and_then(|s| s.strip_suffix('"'))
+            .map(Cow::Borrowed)
+            .ok_or_else(|| ProtocolError::new(ErrorCode::Malformed, "string lost its quotes"))
+    }
+}
+
+/// One scanned JSON value. Numbers are decoded in place; strings and
+/// containers stay as already-validated spans of the line.
+#[derive(Debug, Clone, Copy)]
+enum Val<'a> {
+    /// The key did not occur in the object.
+    Absent,
+    Null,
+    Bool,
+    Num(f64),
+    Str(Text<'a>),
+    /// An array, brackets included.
+    Arr(&'a str),
+    /// An object, braces included.
+    Obj(&'a str),
+}
+
+struct Scanner<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: s.as_bytes(),
+impl<'a> Scanner<'a> {
+    fn new(text: &'a str) -> Scanner<'a> {
+        Scanner {
+            text,
+            bytes: text.as_bytes(),
             pos: 0,
         }
     }
@@ -356,18 +408,14 @@ impl<'a> Parser<'a> {
         ProtocolError::new(ErrorCode::Malformed, format!("{what} at byte {}", self.pos))
     }
 
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\r' | b'\n') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while let Some(b' ' | b'\t' | b'\r' | b'\n') = self.peek() {
+            self.pos += 1;
+        }
     }
 
     fn expect_byte(&mut self, b: u8) -> Result<(), ProtocolError> {
@@ -379,23 +427,45 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, ProtocolError> {
+    /// The text from `start` to the cursor. Both ends sit next to ASCII
+    /// bytes, so they are always char boundaries.
+    fn since(&self, start: usize) -> Result<&'a str, ProtocolError> {
+        self.text
+            .get(start..self.pos)
+            .ok_or_else(|| self.err("span off a char boundary"))
+    }
+
+    /// Scans one value, with `depth` containers already open around it.
+    fn value(&mut self, depth: usize) -> Result<Val<'a>, ProtocolError> {
         self.skip_ws();
+        let start = self.pos;
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'{') => {
+                self.object(depth + 1, |_, _| Ok(()))?;
+                Ok(Val::Obj(self.since(start)?))
+            }
+            Some(b'[') => {
+                self.array(depth + 1, |_| Ok(()))?;
+                Ok(Val::Arr(self.since(start)?))
+            }
+            Some(b'"') => {
+                let escaped = self.string(None)?;
+                Ok(Val::Str(Text {
+                    quoted: self.since(start)?,
+                    escaped,
+                }))
+            }
+            Some(b't') => self.literal("true", Val::Bool),
+            Some(b'f') => self.literal("false", Val::Bool),
+            Some(b'n') => self.literal("null", Val::Null),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Val::Num),
             _ => Err(self.err("expected a JSON value")),
         }
     }
 
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, ProtocolError> {
-        // reap-lint: allow(panic:index) -- parser invariant: pos <= bytes.len(), so the range slice is in-bounds
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+    fn literal(&mut self, lit: &str, v: Val<'a>) -> Result<Val<'a>, ProtocolError> {
+        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+        if rest.starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -403,200 +473,248 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, ProtocolError> {
+    /// Scans an object as the `depth`-th open container, handing each
+    /// member's key and value to `member` in order.
+    fn object(
+        &mut self,
+        depth: usize,
+        mut member: impl FnMut(Text<'a>, Val<'a>) -> Result<(), ProtocolError>,
+    ) -> Result<(), ProtocolError> {
+        if depth > MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
         self.expect_byte(b'{')?;
-        let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(members));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let start = self.pos;
+            let escaped = self.string(None)?;
+            let key = Text {
+                quoted: self.since(start)?,
+                escaped,
+            };
             self.skip_ws();
             self.expect_byte(b':')?;
-            let value = self.value()?;
-            members.push((key, value));
+            let value = self.value(depth)?;
+            member(key, value)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(members));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
         }
     }
 
-    fn array(&mut self) -> Result<Json, ProtocolError> {
+    /// Scans an array as the `depth`-th open container, handing each
+    /// item to `item` in order.
+    fn array(
+        &mut self,
+        depth: usize,
+        mut item: impl FnMut(Val<'a>) -> Result<(), ProtocolError>,
+    ) -> Result<(), ProtocolError> {
+        if depth > MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
         self.expect_byte(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(());
         }
         loop {
-            items.push(self.value()?);
+            item(self.value(depth)?)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or ']'")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, ProtocolError> {
+    /// Validates one string and reports whether it holds an escape. With
+    /// `out`, also appends its unescaped contents there.
+    fn string(&mut self, mut out: Option<&mut String>) -> Result<bool, ProtocolError> {
         self.expect_byte(b'"')?;
-        let mut out = String::new();
+        let mut escaped = false;
+        // Start of the escape-free run not yet copied to `out`.
+        let mut run = self.pos;
         loop {
             let Some(b) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
-            self.pos += 1;
             match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("dangling escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let cp = self.hex4()?;
-                            // Surrogate pairs: a high surrogate must be
-                            // followed by \uDC00..DFFF.
-                            if (0xD800..0xDC00).contains(&cp) {
-                                // reap-lint: allow(panic:index) -- parser invariant: pos <= bytes.len()
-                                if !self.bytes[self.pos..].starts_with(b"\\u") {
-                                    return Err(self.err("lone high surrogate"));
-                                }
-                                self.pos += 2;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                out.push(
-                                    char::from_u32(c)
-                                        .ok_or_else(|| self.err("invalid surrogate pair"))?,
-                                );
-                            } else if (0xDC00..0xE000).contains(&cp) {
-                                return Err(self.err("lone low surrogate"));
-                            } else {
-                                out.push(
-                                    char::from_u32(cp)
-                                        .ok_or_else(|| self.err("invalid codepoint"))?,
-                                );
-                            }
-                        }
-                        _ => return Err(self.err("unknown escape")),
+                b'"' | b'\\' => {
+                    if let Some(out) = &mut out {
+                        out.push_str(self.since(run)?);
                     }
+                    self.pos += 1;
+                    if b == b'"' {
+                        return Ok(escaped);
+                    }
+                    escaped = true;
+                    let c = self.escape()?;
+                    if let Some(out) = &mut out {
+                        out.push(c);
+                    }
+                    run = self.pos;
                 }
                 0x00..=0x1F => return Err(self.err("raw control character in string")),
-                _ => {
-                    // Re-scan the full UTF-8 sequence starting here. The
-                    // input is a &str, so sequences are always valid.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    self.pos = start + len;
-                    // reap-lint: allow(panic:index) -- input is a &str, so the UTF-8 sequence at `start` is complete and in-bounds
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
-                }
+                // Bytes of a multi-byte UTF-8 sequence are never ASCII, so
+                // stepping over them one at a time is exact.
+                _ => self.pos += 1,
             }
         }
     }
 
+    /// Decodes the escape after a backslash.
+    fn escape(&mut self) -> Result<char, ProtocolError> {
+        let Some(esc) = self.peek() else {
+            return Err(self.err("dangling escape"));
+        };
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{0008}',
+            b'f' => '\u{000C}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let cp = self.hex4()?;
+                // Surrogate pairs: a high surrogate must be followed by
+                // \uDC00..DFFF.
+                if (0xD800..0xDC00).contains(&cp) {
+                    let rest = self.bytes.get(self.pos..).unwrap_or_default();
+                    if !rest.starts_with(b"\\u") {
+                        return Err(self.err("lone high surrogate"));
+                    }
+                    self.pos += 2;
+                    let lo = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                    char::from_u32(c).ok_or_else(|| self.err("invalid surrogate pair"))?
+                } else if (0xDC00..0xE000).contains(&cp) {
+                    return Err(self.err("lone low surrogate"));
+                } else {
+                    char::from_u32(cp).ok_or_else(|| self.err("invalid codepoint"))?
+                }
+            }
+            _ => return Err(self.err("unknown escape")),
+        })
+    }
+
     fn hex4(&mut self) -> Result<u32, ProtocolError> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
-        }
-        // reap-lint: allow(panic:index) -- length checked on the line above
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("invalid \\u escape"))?;
+        let hex = self
+            .text
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
         let cp = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
         self.pos += 4;
         Ok(cp)
     }
 
-    fn number(&mut self) -> Result<Json, ProtocolError> {
+    fn number(&mut self) -> Result<f64, ProtocolError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
+        self.digits();
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits();
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
+        if let Some(b'e' | b'E') = self.peek() {
             self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
+            if let Some(b'+' | b'-') = self.peek() {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits();
         }
-        // reap-lint: allow(panic:index) -- parser invariant: start <= pos <= bytes.len()
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+        let v: f64 = self
+            .since(start)?
+            .parse()
             .map_err(|_| self.err("invalid number"))?;
-        let v: f64 = text.parse().map_err(|_| self.err("invalid number"))?;
         if !v.is_finite() {
             return Err(self.err("number out of range"));
         }
-        Ok(Json::Num(v))
+        Ok(v)
+    }
+
+    fn digits(&mut self) {
+        while let Some(b'0'..=b'9') = self.peek() {
+            self.pos += 1;
+        }
     }
 }
 
-/// Byte length of the UTF-8 sequence starting with `b` (1 for ASCII and,
-/// defensively, for continuation bytes — unreachable from a `&str`).
-fn utf8_len(b: u8) -> usize {
-    match b {
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        0xF0..=0xF7 => 4,
-        _ => 1,
+/// Validates `line` as one JSON object in a single scan, trailing bytes
+/// included, and returns the value of each of `keys`: the **first**
+/// occurrence wins, and later duplicates and unlisted keys are validated
+/// and dropped. A key that is absent reads [`Val::Absent`].
+fn fields<'a, const N: usize>(
+    line: &'a str,
+    keys: [&str; N],
+) -> Result<[Val<'a>; N], ProtocolError> {
+    let mut vals = [Val::Absent; N];
+    let mut scan = Scanner::new(line);
+    scan.skip_ws();
+    if scan.peek() != Some(b'{') {
+        return Err(ProtocolError::new(
+            ErrorCode::Malformed,
+            "frame is not a JSON object",
+        ));
     }
-}
-
-fn parse_json(line: &str) -> Result<Json, ProtocolError> {
-    let mut p = Parser::new(line);
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing bytes after JSON value"));
+    scan.object(1, |key, value| {
+        let key = key.read()?;
+        let slot = keys
+            .iter()
+            .position(|k| *k == key)
+            .and_then(|i| vals.get_mut(i));
+        if let Some(slot @ Val::Absent) = slot {
+            *slot = value;
+        }
+        Ok(())
+    })?;
+    scan.skip_ws();
+    if scan.pos != scan.bytes.len() {
+        return Err(scan.err("trailing bytes after JSON value"));
     }
-    Ok(v)
+    Ok(vals)
 }
 
 // ---------------------------------------------------------------------
 // Typed extraction
 // ---------------------------------------------------------------------
 
-fn as_obj(v: &Json) -> Result<&[(String, Json)], ProtocolError> {
+fn need<'a>(v: Val<'a>, key: &str) -> Result<Val<'a>, ProtocolError> {
     match v {
-        Json::Obj(members) => Ok(members),
+        Val::Absent => Err(ProtocolError::new(
+            ErrorCode::Malformed,
+            format!("missing field {key:?}"),
+        )),
+        v => Ok(v),
+    }
+}
+
+fn need_obj<'a>(v: Val<'a>, key: &str) -> Result<&'a str, ProtocolError> {
+    match need(v, key)? {
+        Val::Obj(obj) => Ok(obj),
         _ => Err(ProtocolError::new(
             ErrorCode::Malformed,
             "frame is not a JSON object",
@@ -604,18 +722,9 @@ fn as_obj(v: &Json) -> Result<&[(String, Json)], ProtocolError> {
     }
 }
 
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn need<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, ProtocolError> {
-    get(obj, key)
-        .ok_or_else(|| ProtocolError::new(ErrorCode::Malformed, format!("missing field {key:?}")))
-}
-
-fn need_f64(obj: &[(String, Json)], key: &str) -> Result<f64, ProtocolError> {
-    match need(obj, key)? {
-        Json::Num(v) => Ok(*v),
+fn need_f64(v: Val, key: &str) -> Result<f64, ProtocolError> {
+    match need(v, key)? {
+        Val::Num(v) => Ok(v),
         _ => Err(ProtocolError::new(
             ErrorCode::Malformed,
             format!("field {key:?} is not a number"),
@@ -623,8 +732,8 @@ fn need_f64(obj: &[(String, Json)], key: &str) -> Result<f64, ProtocolError> {
     }
 }
 
-fn need_u32(obj: &[(String, Json)], key: &str) -> Result<u32, ProtocolError> {
-    let v = need_f64(obj, key)?;
+fn need_u32(v: Val, key: &str) -> Result<u32, ProtocolError> {
+    let v = need_f64(v, key)?;
     if v.fract() != 0.0 || !(0.0..=f64::from(u32::MAX)).contains(&v) {
         return Err(ProtocolError::new(
             ErrorCode::Malformed,
@@ -635,8 +744,8 @@ fn need_u32(obj: &[(String, Json)], key: &str) -> Result<u32, ProtocolError> {
     Ok(v as u32)
 }
 
-fn need_u64(obj: &[(String, Json)], key: &str) -> Result<u64, ProtocolError> {
-    let v = need_f64(obj, key)?;
+fn need_u64(v: Val, key: &str) -> Result<u64, ProtocolError> {
+    let v = need_f64(v, key)?;
     if v.fract() != 0.0 || !(0.0..=9.007_199_254_740_992e15).contains(&v) {
         return Err(ProtocolError::new(
             ErrorCode::Malformed,
@@ -647,9 +756,9 @@ fn need_u64(obj: &[(String, Json)], key: &str) -> Result<u64, ProtocolError> {
     Ok(v as u64)
 }
 
-fn need_str<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a str, ProtocolError> {
-    match need(obj, key)? {
-        Json::Str(s) => Ok(s),
+fn need_str<'a>(v: Val<'a>, key: &str) -> Result<Cow<'a, str>, ProtocolError> {
+    match need(v, key)? {
+        Val::Str(text) => text.read(),
         _ => Err(ProtocolError::new(
             ErrorCode::Malformed,
             format!("field {key:?} is not a string"),
@@ -657,12 +766,39 @@ fn need_str<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a str, Protoco
     }
 }
 
+fn decode_shares(v: Val) -> Result<Vec<WireShare>, ProtocolError> {
+    let Val::Arr(items) = need(v, "shares")? else {
+        return Err(ProtocolError::new(
+            ErrorCode::Malformed,
+            "field \"shares\" is not an array",
+        ));
+    };
+    let mut shares = Vec::new();
+    Scanner::new(items).array(1, |item| {
+        let Val::Obj(share) = item else {
+            return Err(ProtocolError::new(
+                ErrorCode::Malformed,
+                "frame is not a JSON object",
+            ));
+        };
+        let [id, seconds] = fields(share, ["id", "seconds"])?;
+        let id = u8::try_from(need_u32(id, "id")?)
+            .map_err(|_| ProtocolError::new(ErrorCode::Malformed, "share id overflows u8"))?;
+        shares.push(WireShare {
+            id,
+            seconds: need_f64(seconds, "seconds")?,
+        });
+        Ok(())
+    })?;
+    Ok(shares)
+}
+
 // ---------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------
 
 /// Appends `s` JSON-escaped (quoted) to `out`.
-fn push_escaped(out: &mut String, s: &str) {
+fn push_escaped(out: &mut String, s: &str) -> fmt::Result {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -673,24 +809,52 @@ fn push_escaped(out: &mut String, s: &str) {
             '\t' => out.push_str("\\t"),
             '\u{0008}' => out.push_str("\\b"),
             '\u{000C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
             c => out.push(c),
         }
     }
     out.push('"');
+    Ok(())
 }
 
 /// Appends an `f64` in shortest-round-trip form. Only finite values reach
 /// the wire (validation upstream), but map the impossible defensively.
-fn push_f64(out: &mut String, v: f64) {
+fn push_f64(out: &mut String, v: f64) -> fmt::Result {
     if v.is_finite() {
-        out.push_str(&format!("{v}"));
+        write!(out, "{v}")
     } else {
         out.push_str("null");
+        Ok(())
     }
 }
+
+/// Appends `,"key":v` for each float field.
+fn push_f64_fields<const N: usize>(out: &mut String, fields: [(&str, f64); N]) -> fmt::Result {
+    for (key, v) in fields {
+        write!(out, ",\"{key}\":")?;
+        push_f64(out, v)?;
+    }
+    Ok(())
+}
+
+/// The keys a request frame may carry, the hot frames' keys first in
+/// wire order so a lookup usually stops at the first candidate.
+const REQUEST_KEYS: [&str; 8] = [
+    "type",
+    "user",
+    "hour",
+    "harvest_j",
+    "activity",
+    "seq",
+    "version",
+    "path",
+];
+
+/// The keys a response frame may carry, ordered like [`REQUEST_KEYS`].
+const RESPONSE_KEYS: [&str; 17] = [
+    "type", "user", "hour", "budget_j", "accuracy", "active_s", "energy_j", "off_s", "shares",
+    "version", "users", "fleet", "server", "path", "bytes", "code", "message",
+];
 
 impl Request {
     /// Encodes the request as one JSON line **without** the trailing
@@ -698,9 +862,20 @@ impl Request {
     #[must_use]
     pub fn encode(&self) -> String {
         let mut s = String::with_capacity(64);
+        self.encode_into(&mut s);
+        s
+    }
+
+    /// Appends the encoded request to `out`.
+    pub(crate) fn encode_into(&self, out: &mut String) {
+        // Writing into a `String` cannot fail.
+        let _ = self.write(out);
+    }
+
+    fn write(&self, s: &mut String) -> fmt::Result {
         match self {
             Request::Hello { version } => {
-                s.push_str(&format!("{{\"type\":\"hello\",\"version\":{version}}}"));
+                write!(s, "{{\"type\":\"hello\",\"version\":{version}}}")
             }
             Request::Observe {
                 user,
@@ -709,36 +884,35 @@ impl Request {
                 activity,
                 seq,
             } => {
-                s.push_str(&format!(
+                write!(
+                    s,
                     "{{\"type\":\"observe\",\"user\":{user},\"hour\":{hour},\"harvest_j\":"
-                ));
-                push_f64(&mut s, *harvest_j);
+                )?;
+                push_f64(s, *harvest_j)?;
                 if let Some(a) = activity {
                     s.push_str(",\"activity\":");
-                    push_f64(&mut s, *a);
+                    push_f64(s, *a)?;
                 }
                 if let Some(n) = seq {
-                    s.push_str(&format!(",\"seq\":{n}"));
+                    write!(s, ",\"seq\":{n}")?;
                 }
                 s.push('}');
+                Ok(())
             }
-            Request::Decide { user } => {
-                s.push_str(&format!("{{\"type\":\"decide\",\"user\":{user}}}"));
-            }
-            Request::Stats => s.push_str("{\"type\":\"stats\"}"),
+            Request::Decide { user } => write!(s, "{{\"type\":\"decide\",\"user\":{user}}}"),
+            Request::Stats => s.write_str("{\"type\":\"stats\"}"),
             Request::Checkpoint { path } => {
                 s.push_str("{\"type\":\"checkpoint\",\"path\":");
-                push_escaped(&mut s, path);
-                s.push('}');
+                push_escaped(s, path)?;
+                s.write_char('}')
             }
             Request::Restore { path } => {
                 s.push_str("{\"type\":\"restore\",\"path\":");
-                push_escaped(&mut s, path);
-                s.push('}');
+                push_escaped(s, path)?;
+                s.write_char('}')
             }
-            Request::Shutdown => s.push_str("{\"type\":\"shutdown\"}"),
+            Request::Shutdown => s.write_str("{\"type\":\"shutdown\"}"),
         }
-        s
     }
 
     /// Decodes one line (without its newline) into a request.
@@ -748,44 +922,37 @@ impl Request {
     /// [`ProtocolError`] with [`ErrorCode::Malformed`] on anything that
     /// is not a well-formed known request frame.
     pub fn decode(line: &str) -> Result<Request, ProtocolError> {
-        let v = parse_json(line)?;
-        let obj = as_obj(&v)?;
-        match need_str(obj, "type")? {
+        let [ty, user, hour, harvest_j, activity, seq, version, path] = fields(line, REQUEST_KEYS)?;
+        match &*need_str(ty, "type")? {
             "hello" => Ok(Request::Hello {
-                version: need_u32(obj, "version")?,
+                version: need_u32(version, "version")?,
             }),
             "observe" => {
-                let activity = match get(obj, "activity") {
-                    None | Some(Json::Null) => None,
-                    Some(Json::Num(a)) => Some(*a),
-                    Some(_) => {
-                        return Err(ProtocolError::new(
-                            ErrorCode::Malformed,
-                            "field \"activity\" is not a number",
-                        ))
-                    }
+                let activity = match activity {
+                    Val::Absent | Val::Null => None,
+                    activity => Some(need_f64(activity, "activity")?),
                 };
-                let seq = match get(obj, "seq") {
-                    None | Some(Json::Null) => None,
-                    Some(_) => Some(need_u64(obj, "seq")?),
+                let seq = match seq {
+                    Val::Absent | Val::Null => None,
+                    seq => Some(need_u64(seq, "seq")?),
                 };
                 Ok(Request::Observe {
-                    user: need_u32(obj, "user")?,
-                    hour: need_u32(obj, "hour")?,
-                    harvest_j: need_f64(obj, "harvest_j")?,
+                    user: need_u32(user, "user")?,
+                    hour: need_u32(hour, "hour")?,
+                    harvest_j: need_f64(harvest_j, "harvest_j")?,
                     activity,
                     seq,
                 })
             }
             "decide" => Ok(Request::Decide {
-                user: need_u32(obj, "user")?,
+                user: need_u32(user, "user")?,
             }),
             "stats" => Ok(Request::Stats),
             "checkpoint" => Ok(Request::Checkpoint {
-                path: need_str(obj, "path")?.to_string(),
+                path: need_str(path, "path")?.into_owned(),
             }),
             "restore" => Ok(Request::Restore {
-                path: need_str(obj, "path")?.to_string(),
+                path: need_str(path, "path")?.into_owned(),
             }),
             "shutdown" => Ok(Request::Shutdown),
             other => Err(ProtocolError::new(
@@ -802,22 +969,33 @@ impl Response {
     #[must_use]
     pub fn encode(&self) -> String {
         let mut s = String::with_capacity(96);
+        self.encode_into(&mut s);
+        s
+    }
+
+    /// Appends the encoded response to `out`.
+    pub(crate) fn encode_into(&self, out: &mut String) {
+        // Writing into a `String` cannot fail.
+        let _ = self.write(out);
+    }
+
+    fn write(&self, s: &mut String) -> fmt::Result {
         match self {
-            Response::Welcome { version, users } => {
-                s.push_str(&format!(
-                    "{{\"type\":\"welcome\",\"version\":{version},\"users\":{users}}}"
-                ));
-            }
+            Response::Welcome { version, users } => write!(
+                s,
+                "{{\"type\":\"welcome\",\"version\":{version},\"users\":{users}}}"
+            ),
             Response::Observed {
                 user,
                 hour,
                 budget_j,
             } => {
-                s.push_str(&format!(
+                write!(
+                    s,
                     "{{\"type\":\"observed\",\"user\":{user},\"hour\":{hour},\"budget_j\":"
-                ));
-                push_f64(&mut s, *budget_j);
-                s.push('}');
+                )?;
+                push_f64(s, *budget_j)?;
+                s.write_char('}')
             }
             Response::Decision {
                 user,
@@ -828,55 +1006,52 @@ impl Response {
                 off_s,
                 shares,
             } => {
-                s.push_str(&format!("{{\"type\":\"decision\",\"user\":{user}"));
-                for (key, v) in [
-                    ("budget_j", budget_j),
-                    ("accuracy", accuracy),
-                    ("active_s", active_s),
-                    ("energy_j", energy_j),
-                    ("off_s", off_s),
-                ] {
-                    s.push_str(&format!(",\"{key}\":"));
-                    push_f64(&mut s, *v);
-                }
+                write!(s, "{{\"type\":\"decision\",\"user\":{user}")?;
+                push_f64_fields(
+                    s,
+                    [
+                        ("budget_j", *budget_j),
+                        ("accuracy", *accuracy),
+                        ("active_s", *active_s),
+                        ("energy_j", *energy_j),
+                        ("off_s", *off_s),
+                    ],
+                )?;
                 s.push_str(",\"shares\":[");
                 for (i, share) in shares.iter().enumerate() {
                     if i > 0 {
                         s.push(',');
                     }
-                    s.push_str(&format!("{{\"id\":{},\"seconds\":", share.id));
-                    push_f64(&mut s, share.seconds);
+                    write!(s, "{{\"id\":{},\"seconds\":", share.id)?;
+                    push_f64(s, share.seconds)?;
                     s.push('}');
                 }
-                s.push_str("]}");
+                s.write_str("]}")
             }
             Response::Stats { fleet, server } => {
                 s.push_str("{\"type\":\"stats\",\"fleet\":");
-                s.push_str(&fleet.encode());
+                fleet.write(s)?;
                 s.push_str(",\"server\":");
-                s.push_str(&server.encode());
-                s.push('}');
+                server.write(s)?;
+                s.write_char('}')
             }
             Response::CheckpointDone { path, bytes } => {
                 s.push_str("{\"type\":\"checkpoint_done\",\"path\":");
-                push_escaped(&mut s, path);
-                s.push_str(&format!(",\"bytes\":{bytes}}}"));
+                push_escaped(s, path)?;
+                write!(s, ",\"bytes\":{bytes}}}")
             }
             Response::RestoreDone { path, users } => {
                 s.push_str("{\"type\":\"restore_done\",\"path\":");
-                push_escaped(&mut s, path);
-                s.push_str(&format!(",\"users\":{users}}}"));
+                push_escaped(s, path)?;
+                write!(s, ",\"users\":{users}}}")
             }
-            Response::ShuttingDown => s.push_str("{\"type\":\"shutting_down\"}"),
+            Response::ShuttingDown => s.write_str("{\"type\":\"shutting_down\"}"),
             Response::Error { code, message } => {
-                s.push_str(&format!(
-                    "{{\"type\":\"error\",\"code\":\"{code}\",\"message\":"
-                ));
-                push_escaped(&mut s, message);
-                s.push('}');
+                write!(s, "{{\"type\":\"error\",\"code\":\"{code}\",\"message\":")?;
+                push_escaped(s, message)?;
+                s.write_char('}')
             }
         }
-        s
     }
 
     /// Decodes one line (without its newline) into a response.
@@ -886,67 +1061,46 @@ impl Response {
     /// [`ProtocolError`] with [`ErrorCode::Malformed`] on anything that
     /// is not a well-formed known response frame.
     pub fn decode(line: &str) -> Result<Response, ProtocolError> {
-        let v = parse_json(line)?;
-        let obj = as_obj(&v)?;
-        match need_str(obj, "type")? {
+        let [ty, user, hour, budget_j, accuracy, active_s, energy_j, off_s, shares, version, users, fleet, server, path, bytes, code, message] =
+            fields(line, RESPONSE_KEYS)?;
+        match &*need_str(ty, "type")? {
             "welcome" => Ok(Response::Welcome {
-                version: need_u32(obj, "version")?,
-                users: need_u32(obj, "users")?,
+                version: need_u32(version, "version")?,
+                users: need_u32(users, "users")?,
             }),
             "observed" => Ok(Response::Observed {
-                user: need_u32(obj, "user")?,
-                hour: need_u32(obj, "hour")?,
-                budget_j: need_f64(obj, "budget_j")?,
+                user: need_u32(user, "user")?,
+                hour: need_u32(hour, "hour")?,
+                budget_j: need_f64(budget_j, "budget_j")?,
             }),
             "decision" => {
-                let shares = match need(obj, "shares")? {
-                    Json::Arr(items) => items
-                        .iter()
-                        .map(|item| {
-                            let share = as_obj(item)?;
-                            let id = need_u32(share, "id")?;
-                            let id = u8::try_from(id).map_err(|_| {
-                                ProtocolError::new(ErrorCode::Malformed, "share id overflows u8")
-                            })?;
-                            Ok(WireShare {
-                                id,
-                                seconds: need_f64(share, "seconds")?,
-                            })
-                        })
-                        .collect::<Result<Vec<_>, ProtocolError>>()?,
-                    _ => {
-                        return Err(ProtocolError::new(
-                            ErrorCode::Malformed,
-                            "field \"shares\" is not an array",
-                        ))
-                    }
-                };
+                let shares = decode_shares(shares)?;
                 Ok(Response::Decision {
-                    user: need_u32(obj, "user")?,
-                    budget_j: need_f64(obj, "budget_j")?,
-                    accuracy: need_f64(obj, "accuracy")?,
-                    active_s: need_f64(obj, "active_s")?,
-                    energy_j: need_f64(obj, "energy_j")?,
-                    off_s: need_f64(obj, "off_s")?,
+                    user: need_u32(user, "user")?,
+                    budget_j: need_f64(budget_j, "budget_j")?,
+                    accuracy: need_f64(accuracy, "accuracy")?,
+                    active_s: need_f64(active_s, "active_s")?,
+                    energy_j: need_f64(energy_j, "energy_j")?,
+                    off_s: need_f64(off_s, "off_s")?,
                     shares,
                 })
             }
             "stats" => Ok(Response::Stats {
-                fleet: FleetStats::decode_obj(as_obj(need(obj, "fleet")?)?)?,
-                server: ServerStats::decode_obj(as_obj(need(obj, "server")?)?)?,
+                fleet: FleetStats::decode_obj(need_obj(fleet, "fleet")?)?,
+                server: ServerStats::decode_obj(need_obj(server, "server")?)?,
             }),
             "checkpoint_done" => Ok(Response::CheckpointDone {
-                path: need_str(obj, "path")?.to_string(),
-                bytes: need_u64(obj, "bytes")?,
+                path: need_str(path, "path")?.into_owned(),
+                bytes: need_u64(bytes, "bytes")?,
             }),
             "restore_done" => Ok(Response::RestoreDone {
-                path: need_str(obj, "path")?.to_string(),
-                users: need_u32(obj, "users")?,
+                path: need_str(path, "path")?.into_owned(),
+                users: need_u32(users, "users")?,
             }),
             "shutting_down" => Ok(Response::ShuttingDown),
             "error" => {
-                let code_str = need_str(obj, "code")?;
-                let code = ErrorCode::parse(code_str).ok_or_else(|| {
+                let code_str = need_str(code, "code")?;
+                let code = ErrorCode::parse(&code_str).ok_or_else(|| {
                     ProtocolError::new(
                         ErrorCode::Malformed,
                         format!("unknown error code {code_str:?}"),
@@ -954,7 +1108,7 @@ impl Response {
                 })?;
                 Ok(Response::Error {
                     code,
-                    message: need_str(obj, "message")?.to_string(),
+                    message: need_str(message, "message")?.into_owned(),
                 })
             }
             other => Err(ProtocolError::new(
@@ -973,37 +1127,56 @@ impl FleetStats {
     #[must_use]
     pub fn encode(&self) -> String {
         let mut s = String::with_capacity(160);
-        s.push_str(&format!(
-            "{{\"users\":{},\"cohorts\":{},\"observations\":{},\"harvested_j\":",
-            self.users, self.cohorts, self.observations
-        ));
-        push_f64(&mut s, self.harvested_j);
-        s.push_str(",\"budget_j\":");
-        push_f64(&mut s, self.budget_j);
-        s.push_str(",\"battery_j\":");
-        push_f64(&mut s, self.battery_j);
-        s.push_str(",\"activity\":");
-        push_f64(&mut s, self.activity);
-        s.push_str(&format!(
-            ",\"state_digest\":\"{:016x}\"}}",
-            self.state_digest
-        ));
+        // Writing into a `String` cannot fail.
+        let _ = self.write(&mut s);
         s
     }
 
-    fn decode_obj(obj: &[(String, Json)]) -> Result<FleetStats, ProtocolError> {
-        let digest_hex = need_str(obj, "state_digest")?;
-        let state_digest = u64::from_str_radix(digest_hex, 16).map_err(|_| {
+    fn write(&self, s: &mut String) -> fmt::Result {
+        write!(
+            s,
+            "{{\"users\":{},\"cohorts\":{},\"observations\":{},\"harvested_j\":",
+            self.users, self.cohorts, self.observations
+        )?;
+        push_f64(s, self.harvested_j)?;
+        push_f64_fields(
+            s,
+            [
+                ("budget_j", self.budget_j),
+                ("battery_j", self.battery_j),
+                ("activity", self.activity),
+            ],
+        )?;
+        write!(s, ",\"state_digest\":\"{:016x}\"}}", self.state_digest)
+    }
+
+    fn decode_obj(obj: &str) -> Result<FleetStats, ProtocolError> {
+        let [users, cohorts, observations, harvested_j, budget_j, battery_j, activity, state_digest] =
+            fields(
+                obj,
+                [
+                    "users",
+                    "cohorts",
+                    "observations",
+                    "harvested_j",
+                    "budget_j",
+                    "battery_j",
+                    "activity",
+                    "state_digest",
+                ],
+            )?;
+        let digest_hex = need_str(state_digest, "state_digest")?;
+        let state_digest = u64::from_str_radix(&digest_hex, 16).map_err(|_| {
             ProtocolError::new(ErrorCode::Malformed, "state_digest is not a hex u64")
         })?;
         Ok(FleetStats {
-            users: need_u32(obj, "users")?,
-            cohorts: need_u32(obj, "cohorts")?,
-            observations: need_u64(obj, "observations")?,
-            harvested_j: need_f64(obj, "harvested_j")?,
-            budget_j: need_f64(obj, "budget_j")?,
-            battery_j: need_f64(obj, "battery_j")?,
-            activity: need_f64(obj, "activity")?,
+            users: need_u32(users, "users")?,
+            cohorts: need_u32(cohorts, "cohorts")?,
+            observations: need_u64(observations, "observations")?,
+            harvested_j: need_f64(harvested_j, "harvested_j")?,
+            budget_j: need_f64(budget_j, "budget_j")?,
+            battery_j: need_f64(battery_j, "battery_j")?,
+            activity: need_f64(activity, "activity")?,
             state_digest,
         })
     }
@@ -1014,7 +1187,14 @@ impl ServerStats {
     #[must_use]
     pub fn encode(&self) -> String {
         let mut s = String::with_capacity(224);
-        s.push_str(&format!(
+        // Writing into a `String` cannot fail.
+        let _ = self.write(&mut s);
+        s
+    }
+
+    fn write(&self, s: &mut String) -> fmt::Result {
+        write!(
+            s,
             "{{\"connections\":{},\"requests\":{},\"errors\":{},\"observes\":{},\
              \"decides\":{},\"checkpoints\":{},\"restores\":{},\"evicted\":{},\"shed\":{}",
             self.connections,
@@ -1026,35 +1206,53 @@ impl ServerStats {
             self.restores,
             self.evicted,
             self.shed
-        ));
-        for (key, v) in [
-            ("observe_p50_us", self.observe_p50_us),
-            ("observe_p99_us", self.observe_p99_us),
-            ("decide_p50_us", self.decide_p50_us),
-            ("decide_p99_us", self.decide_p99_us),
-        ] {
-            s.push_str(&format!(",\"{key}\":"));
-            push_f64(&mut s, v);
-        }
-        s.push('}');
-        s
+        )?;
+        push_f64_fields(
+            s,
+            [
+                ("observe_p50_us", self.observe_p50_us),
+                ("observe_p99_us", self.observe_p99_us),
+                ("decide_p50_us", self.decide_p50_us),
+                ("decide_p99_us", self.decide_p99_us),
+            ],
+        )?;
+        s.write_char('}')
     }
 
-    fn decode_obj(obj: &[(String, Json)]) -> Result<ServerStats, ProtocolError> {
+    fn decode_obj(obj: &str) -> Result<ServerStats, ProtocolError> {
+        let [connections, requests, errors, observes, decides, checkpoints, restores, evicted, shed, observe_p50_us, observe_p99_us, decide_p50_us, decide_p99_us] =
+            fields(
+                obj,
+                [
+                    "connections",
+                    "requests",
+                    "errors",
+                    "observes",
+                    "decides",
+                    "checkpoints",
+                    "restores",
+                    "evicted",
+                    "shed",
+                    "observe_p50_us",
+                    "observe_p99_us",
+                    "decide_p50_us",
+                    "decide_p99_us",
+                ],
+            )?;
         Ok(ServerStats {
-            connections: need_u64(obj, "connections")?,
-            requests: need_u64(obj, "requests")?,
-            errors: need_u64(obj, "errors")?,
-            observes: need_u64(obj, "observes")?,
-            decides: need_u64(obj, "decides")?,
-            checkpoints: need_u64(obj, "checkpoints")?,
-            restores: need_u64(obj, "restores")?,
-            evicted: need_u64(obj, "evicted")?,
-            shed: need_u64(obj, "shed")?,
-            observe_p50_us: need_f64(obj, "observe_p50_us")?,
-            observe_p99_us: need_f64(obj, "observe_p99_us")?,
-            decide_p50_us: need_f64(obj, "decide_p50_us")?,
-            decide_p99_us: need_f64(obj, "decide_p99_us")?,
+            connections: need_u64(connections, "connections")?,
+            requests: need_u64(requests, "requests")?,
+            errors: need_u64(errors, "errors")?,
+            observes: need_u64(observes, "observes")?,
+            decides: need_u64(decides, "decides")?,
+            checkpoints: need_u64(checkpoints, "checkpoints")?,
+            restores: need_u64(restores, "restores")?,
+            evicted: need_u64(evicted, "evicted")?,
+            shed: need_u64(shed, "shed")?,
+            observe_p50_us: need_f64(observe_p50_us, "observe_p50_us")?,
+            observe_p99_us: need_f64(observe_p99_us, "observe_p99_us")?,
+            decide_p50_us: need_f64(decide_p50_us, "decide_p50_us")?,
+            decide_p99_us: need_f64(decide_p99_us, "decide_p99_us")?,
         })
     }
 }
@@ -1222,5 +1420,56 @@ mod tests {
             }
         );
         assert!(Request::decode("{\"type\":\"checkpoint\",\"path\":\"\\ud83d\"}").is_err());
+    }
+
+    /// `{"type":"stats","x":` followed by `containers` nested arrays
+    /// holding one number: the frame's own object plus `containers`.
+    fn stats_with_nesting(containers: usize) -> String {
+        format!(
+            "{{\"type\":\"stats\",\"x\":{}1{}}}",
+            "[".repeat(containers),
+            "]".repeat(containers)
+        )
+    }
+
+    #[test]
+    fn nesting_up_to_max_depth_decodes_and_deeper_is_malformed() {
+        let at_bound = stats_with_nesting(MAX_DEPTH - 1);
+        assert_eq!(Request::decode(&at_bound).unwrap(), Request::Stats);
+        let err = Request::decode(&stats_with_nesting(MAX_DEPTH)).unwrap_err();
+        assert_eq!(err.code, ErrorCode::Malformed);
+        assert!(err.message.contains("nesting"), "{err}");
+    }
+
+    #[test]
+    fn line_long_nesting_is_malformed_without_exhausting_the_stack() {
+        // One line just under the cap, nested as deep as it can go. The
+        // decode runs on a fresh default-stack thread, like a connection
+        // handler.
+        let brackets = "[".repeat(MAX_LINE_BYTES - 1);
+        let members = "{\"a\":".repeat((MAX_LINE_BYTES - 1) / 5);
+        for line in [brackets, members] {
+            let (req, resp) = std::thread::spawn(move || {
+                (
+                    Request::decode(&line).map_err(|e| e.code),
+                    Response::decode(&line).map_err(|e| e.code),
+                )
+            })
+            .join()
+            .expect("decoder thread survives");
+            assert_eq!(req, Err(ErrorCode::Malformed));
+            assert_eq!(resp, Err(ErrorCode::Malformed));
+        }
+    }
+
+    #[test]
+    fn first_occurrence_wins_and_escaped_keys_match() {
+        let req = Request::decode(
+            "{\"type\":\"decide\",\"us\\u0065r\":7,\"user\":9,\"type\":\"stats\",\"extra\":{\"user\":[1,{}]}}",
+        )
+        .unwrap();
+        assert_eq!(req, Request::Decide { user: 7 });
+        // A later duplicate is still validated.
+        assert!(Request::decode("{\"type\":\"decide\",\"user\":7,\"user\":1e999}").is_err());
     }
 }

@@ -297,7 +297,9 @@ impl<L: IoLayer> RetryClient<L> {
     pub fn request_idempotent(&mut self, request: &Request) -> Result<Response, RetryError> {
         let deadline = Instant::now() + self.config.request_deadline;
         let max_attempts = self.config.max_attempts.max(1);
-        let mut last = "never attempted".to_string();
+        // Every attempt that does not return sets `last`; `String::new`
+        // does not allocate.
+        let mut last = String::new();
         let mut attempts = 0u32;
         while attempts < max_attempts {
             attempts += 1;

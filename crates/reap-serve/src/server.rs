@@ -352,8 +352,10 @@ impl<L: IoLayer> Server<L> {
 }
 
 /// What one attempt to pull a line off the socket produced.
-enum ReadOutcome {
-    Line(Vec<u8>),
+enum ReadOutcome<'a> {
+    /// A complete line, without its newline (or `\r\n`), borrowed from
+    /// the reader's buffer until the next read.
+    Line(&'a [u8]),
     Eof,
     TimedOut,
     Oversized,
@@ -366,10 +368,17 @@ enum ReadOutcome {
 /// across timeouts, lines split off as newlines arrive. A frame that
 /// stays incomplete past `frame_deadline` reports [`ReadOutcome::Stalled`]
 /// (the slow-loris defense); an idle socket with no partial frame can
-/// wait forever.
+/// wait forever. Lines are handed out as slices of the reader's own
+/// buffer, so framing allocates nothing per line.
 struct LineReader<S> {
     stream: S,
     pending: Vec<u8>,
+    /// Length of the line last handed out, newline included: it stays
+    /// at the front of `pending` until the next read drops it.
+    consumed: usize,
+    /// Socket read buffer, zeroed once per connection rather than per
+    /// read.
+    chunk: [u8; 4096],
     frame_deadline: Duration,
     frame_start: Option<Instant>,
 }
@@ -379,12 +388,16 @@ impl<S: Read> LineReader<S> {
         LineReader {
             stream,
             pending: Vec::new(),
+            consumed: 0,
+            chunk: [0; 4096],
             frame_deadline,
             frame_start: None,
         }
     }
 
-    fn next_line(&mut self) -> ReadOutcome {
+    fn next_line(&mut self) -> ReadOutcome<'_> {
+        self.pending.drain(..self.consumed);
+        self.consumed = 0;
         loop {
             if let Some(nl) = self.pending.iter().position(|&b| b == b'\n') {
                 // A complete line that still busts the cap is just as
@@ -394,13 +407,10 @@ impl<S: Read> LineReader<S> {
                 if nl >= MAX_LINE_BYTES {
                     return ReadOutcome::Oversized;
                 }
-                let mut line: Vec<u8> = self.pending.drain(..=nl).collect();
-                line.pop(); // the newline
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
+                self.consumed = nl + 1;
                 self.frame_start = None;
-                return ReadOutcome::Line(line);
+                let line = self.pending.get(..nl).unwrap_or_default();
+                return ReadOutcome::Line(line.strip_suffix(b"\r").unwrap_or(line));
             }
             if self.pending.len() >= MAX_LINE_BYTES {
                 return ReadOutcome::Oversized;
@@ -415,11 +425,11 @@ impl<S: Read> LineReader<S> {
                     return ReadOutcome::Stalled;
                 }
             }
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
+            match self.stream.read(&mut self.chunk) {
                 Ok(0) => return ReadOutcome::Eof,
-                // reap-lint: allow(panic:index) -- Read contract: n <= chunk.len()
-                Ok(n) => self.pending.extend_from_slice(&chunk[..n]),
+                Ok(n) => self
+                    .pending
+                    .extend_from_slice(self.chunk.get(..n).unwrap_or_default()),
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                     return ReadOutcome::TimedOut;
                 }
@@ -436,9 +446,9 @@ impl<S: Read> LineReader<S> {
     /// lets the close go out as a clean FIN after the frame.
     fn drain_before_close(&mut self) {
         self.pending.clear();
-        let mut chunk = [0u8; 4096];
+        self.consumed = 0;
         for _ in 0..256 {
-            match self.stream.read(&mut chunk) {
+            match self.stream.read(&mut self.chunk) {
                 Ok(0) | Err(_) => return,
                 Ok(_) => {}
             }
@@ -446,31 +456,36 @@ impl<S: Read> LineReader<S> {
     }
 }
 
+/// Frames `response` into `out` (cleared first; one buffer reused for
+/// every reply on a connection) and writes it with one `write_all`.
 fn send<L: IoLayer>(
     stream: &mut L::Stream,
     shared: &Shared<L>,
     response: &Response,
+    out: &mut String,
 ) -> io::Result<()> {
-    let mut line = response.encode();
-    line.push('\n');
-    let out = stream.write_all(line.as_bytes());
-    if let Err(e) = &out {
+    out.clear();
+    response.encode_into(out);
+    out.push('\n');
+    let written = stream.write_all(out.as_bytes());
+    if let Err(e) = &written {
         if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
             // The peer stopped reading long enough to blow the write
             // deadline: this connection is being dropped, count it.
             shared.metrics.evicted.fetch_add(1, Ordering::Relaxed);
         }
     }
-    out
+    written
 }
 
 fn send_error<L: IoLayer>(
     stream: &mut L::Stream,
     shared: &Shared<L>,
     err: ProtocolError,
+    out: &mut String,
 ) -> io::Result<()> {
     shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-    send(stream, shared, &Response::from(err))
+    send(stream, shared, &Response::from(err), out)
 }
 
 /// Runs one session: handshake, then one response frame per request
@@ -484,6 +499,7 @@ fn handle_connection<L: IoLayer>(stream: TcpStream, shared: &Shared<L>) {
     };
     let mut reader = LineReader::new(shared.layer.wrap(read_half), shared.frame_deadline);
     let mut stream = shared.layer.wrap(stream);
+    let mut out = String::new();
 
     let mut greeted = false;
     loop {
@@ -510,6 +526,7 @@ fn handle_connection<L: IoLayer>(stream: TcpStream, shared: &Shared<L>) {
                             shared.frame_deadline
                         ),
                     ),
+                    &mut out,
                 );
                 reader.drain_before_close();
                 return;
@@ -524,16 +541,18 @@ fn handle_connection<L: IoLayer>(stream: TcpStream, shared: &Shared<L>) {
                         ErrorCode::Oversized,
                         format!("line exceeds {MAX_LINE_BYTES} bytes"),
                     ),
+                    &mut out,
                 );
                 reader.drain_before_close();
                 return;
             }
         };
-        let Ok(text) = std::str::from_utf8(&line) else {
+        let Ok(text) = std::str::from_utf8(line) else {
             if send_error(
                 &mut stream,
                 shared,
                 ProtocolError::new(ErrorCode::Malformed, "frame is not UTF-8"),
+                &mut out,
             )
             .is_err()
             {
@@ -547,7 +566,7 @@ fn handle_connection<L: IoLayer>(stream: TcpStream, shared: &Shared<L>) {
         let request = match Request::decode(text) {
             Ok(r) => r,
             Err(e) => {
-                if send_error(&mut stream, shared, e).is_err() {
+                if send_error(&mut stream, shared, e, &mut out).is_err() {
                     return;
                 }
                 continue;
@@ -565,6 +584,7 @@ fn handle_connection<L: IoLayer>(stream: TcpStream, shared: &Shared<L>) {
                             version: PROTOCOL_VERSION,
                             users: shared.state.users(),
                         },
+                        &mut out,
                     )
                     .is_err()
                     {
@@ -581,6 +601,7 @@ fn handle_connection<L: IoLayer>(stream: TcpStream, shared: &Shared<L>) {
                             ErrorCode::Version,
                             format!("client speaks v{version}, server v{PROTOCOL_VERSION}"),
                         ),
+                        &mut out,
                     );
                     return;
                 }
@@ -589,6 +610,7 @@ fn handle_connection<L: IoLayer>(stream: TcpStream, shared: &Shared<L>) {
                         &mut stream,
                         shared,
                         ProtocolError::new(ErrorCode::Handshake, "first frame must be a hello"),
+                        &mut out,
                     );
                     return;
                 }
@@ -711,7 +733,7 @@ fn handle_connection<L: IoLayer>(stream: TcpStream, shared: &Shared<L>) {
         if is_error {
             shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
         }
-        if send(&mut stream, shared, &response).is_err() {
+        if send(&mut stream, shared, &response, &mut out).is_err() {
             return;
         }
         if close_after {

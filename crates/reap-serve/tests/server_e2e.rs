@@ -210,6 +210,34 @@ fn malformed_lines_get_error_frames_and_session_survives() {
 }
 
 #[test]
+fn deeply_nested_frame_is_malformed_and_daemon_survives() {
+    // Half the line cap of open brackets: an unbounded recursive decoder
+    // overflows the connection thread's stack here and aborts the whole
+    // process. The depth bound turns it into an ordinary error frame.
+    let srv = start(8, 1, ServerConfig::default());
+    let mut client = Client::connect(srv.addr).expect("connect");
+    let nested = "[".repeat(MAX_LINE_BYTES / 2);
+    match client.request_raw(&nested).expect("error frame") {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::Malformed),
+        other => panic!("unexpected reply: {other:?}"),
+    }
+    // The same session keeps serving.
+    match client
+        .request(&Request::Decide { user: 3 })
+        .expect("decide")
+    {
+        Response::Decision { user: 3, .. } => {}
+        other => panic!("unexpected reply: {other:?}"),
+    }
+    // And so does the daemon, on a fresh connection.
+    let mut fresh = Client::connect(srv.addr).expect("reconnect");
+    assert_eq!(fleet_stats(&mut fresh).users, 8);
+
+    srv.handle.shutdown();
+    srv.thread.join().unwrap().unwrap();
+}
+
+#[test]
 fn oversized_lines_are_rejected_and_connection_closes() {
     let srv = start(2, 1, ServerConfig::default());
     let mut s = TcpStream::connect(srv.addr).expect("connect");
