@@ -15,7 +15,7 @@
 //! bench whose CI step stopped producing fresh numbers fails loudly
 //! instead of silently dropping out. Explicit pairs remain for local use.
 //!
-//! Each pair must share a known bench schema (`reap-bench/planner-v1`,
+//! Each pair must share a known bench schema (`reap-bench/planner-v2`,
 //! `reap-bench/fleet-v2`, `reap-bench/mpc-v1`, `reap-bench/serve-v2`);
 //! the tracked throughput metrics per schema live in
 //! [`reap_bench::regression`]. A pair whose workload keys (population,

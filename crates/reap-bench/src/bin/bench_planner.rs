@@ -1,4 +1,5 @@
-//! Planner perf baseline: per-solve timings for the three REAP solvers
+//! Planner perf baseline: per-solve timings for the REAP solvers (the
+//! paper's simplex and the precomputed frontier)
 //! and wall time for month-long simulations, written as machine-readable
 //! JSON (`BENCH_planner.json`) so CI tracks the perf trajectory.
 //!
@@ -20,7 +21,6 @@ use std::hint::black_box;
 struct SolverRow {
     n: usize,
     simplex: Measurement,
-    closed_form: Measurement,
     frontier: Measurement,
     frontier_build: Measurement,
 }
@@ -46,13 +46,6 @@ fn main() {
             simplex: measure(format!("simplex/{n}"), || {
                 black_box(problem.solve(black_box(budget)).expect("solvable"))
             }),
-            closed_form: measure(format!("closed_form/{n}"), || {
-                black_box(
-                    problem
-                        .solve_closed_form(black_box(budget))
-                        .expect("solvable"),
-                )
-            }),
             frontier: measure(format!("frontier/{n}"), || {
                 black_box(frontier.solve(black_box(budget)).expect("solvable"))
             }),
@@ -61,9 +54,8 @@ fn main() {
             }),
         };
         println!(
-            "N = {:>3}: simplex {:>9.1} ns  closed-form {:>9.1} ns  frontier {:>7.1} ns  (build {:>8.1} ns)",
-            n, row.simplex.mean_ns, row.closed_form.mean_ns, row.frontier.mean_ns,
-            row.frontier_build.mean_ns
+            "N = {:>3}: simplex {:>9.1} ns  frontier {:>7.1} ns  (build {:>8.1} ns)",
+            n, row.simplex.mean_ns, row.frontier.mean_ns, row.frontier_build.mean_ns
         );
         rows.push(row);
     }
@@ -108,14 +100,13 @@ fn main() {
     );
 
     let mut json = String::from(
-        "{\n  \"schema\": \"reap-bench/planner-v1\",\n  \"budget_j\": 5.0,\n  \"solvers\": [\n",
+        "{\n  \"schema\": \"reap-bench/planner-v2\",\n  \"budget_j\": 5.0,\n  \"solvers\": [\n",
     );
     for (i, row) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"n\": {}, \"simplex_ns\": {:.1}, \"closed_form_ns\": {:.1}, \"frontier_ns\": {:.1}, \"frontier_build_ns\": {:.1}}}{}\n",
+            "    {{\"n\": {}, \"simplex_ns\": {:.1}, \"frontier_ns\": {:.1}, \"frontier_build_ns\": {:.1}}}{}\n",
             row.n,
             row.simplex.mean_ns,
-            row.closed_form.mean_ns,
             row.frontier.mean_ns,
             row.frontier_build.mean_ns,
             if i + 1 < rows.len() { "," } else { "" }

@@ -34,7 +34,11 @@ pub struct Metric {
 #[must_use]
 pub fn metrics_for_schema(schema: &str) -> Option<&'static [Metric]> {
     match schema {
-        "reap-bench/planner-v1" => Some(&[
+        // planner-v2 dropped the closed-form solver's `closed_form_ns`
+        // column; the gated metrics are unchanged, and the v1 entry stays
+        // so a stale committed baseline produces a clear schema-mismatch
+        // error instead of an unknown-schema one.
+        "reap-bench/planner-v1" | "reap-bench/planner-v2" => Some(&[
             Metric {
                 key: "reap_run_ms",
                 direction: Direction::LowerIsBetter,
@@ -86,7 +90,7 @@ pub fn metrics_for_schema(schema: &str) -> Option<&'static [Metric]> {
 #[must_use]
 pub fn workload_keys(schema: &str) -> &'static [&'static str] {
     match schema {
-        "reap-bench/planner-v1" => &["budget_j", "hours"],
+        "reap-bench/planner-v1" | "reap-bench/planner-v2" => &["budget_j", "hours"],
         "reap-bench/fleet-v1" | "reap-bench/fleet-v2" => &["users", "days"],
         "reap-bench/mpc-v1" => &["days", "rel_error"],
         "reap-bench/intermittent-v1" => &["users", "days", "dt_seconds", "blackout_fraction"],
@@ -270,10 +274,9 @@ mod tests {
 
     #[test]
     fn schemas_map_to_metrics() {
-        assert_eq!(
-            metrics_for_schema("reap-bench/planner-v1").unwrap().len(),
-            2
-        );
+        for planner in ["reap-bench/planner-v1", "reap-bench/planner-v2"] {
+            assert_eq!(metrics_for_schema(planner).unwrap().len(), 2);
+        }
         assert_eq!(metrics_for_schema("reap-bench/fleet-v1").unwrap().len(), 1);
         assert_eq!(metrics_for_schema("reap-bench/mpc-v1").unwrap().len(), 1);
         assert!(metrics_for_schema("nope").is_none());
@@ -345,8 +348,8 @@ mod tests {
 
     #[test]
     fn lower_is_better_direction() {
-        let base = r#"{"schema": "reap-bench/planner-v1", "reap_run_ms": 10.0, "matrix_ms": 20.0}"#;
-        let fast = r#"{"schema": "reap-bench/planner-v1", "reap_run_ms": 9.0, "matrix_ms": 30.0}"#;
+        let base = r#"{"schema": "reap-bench/planner-v2", "reap_run_ms": 10.0, "matrix_ms": 20.0}"#;
+        let fast = r#"{"schema": "reap-bench/planner-v2", "reap_run_ms": 9.0, "matrix_ms": 30.0}"#;
         let cmp = compare(base, fast, 0.25).unwrap();
         assert!(!cmp[0].regressed, "faster run must pass");
         assert!(cmp[1].regressed, "50% slower matrix must fail");

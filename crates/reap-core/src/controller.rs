@@ -12,9 +12,6 @@ pub enum SolverKind {
     /// The paper's Algorithm 1 (tableau simplex).
     #[default]
     Simplex,
-    /// The exact closed-form vertex search (`O(N^2)`), a faster
-    /// alternative this reproduction adds as an ablation.
-    ClosedForm,
     /// The precomputed budget→schedule frontier ([`PlanFrontier`]): the
     /// frontier is built lazily on the first plan, cached inside the
     /// controller, and every solve afterwards is an `O(log K)` lookup.
@@ -117,7 +114,6 @@ impl ReapController {
         let effective = budget.max(self.problem.min_budget());
         match self.solver {
             SolverKind::Simplex => self.problem.solve(effective),
-            SolverKind::ClosedForm => self.problem.solve_closed_form(effective),
             SolverKind::Frontier => {
                 let problem = &self.problem;
                 let builds = &mut self.frontier_builds;
@@ -170,17 +166,11 @@ mod tests {
     #[test]
     fn solver_kinds_agree() {
         let mut simplex = ReapController::with_solver(problem(), SolverKind::Simplex);
-        let mut closed = ReapController::with_solver(problem(), SolverKind::ClosedForm);
         let mut frontier = ReapController::with_solver(problem(), SolverKind::Frontier);
         for b in [0.5, 2.0, 5.0, 8.0, 12.0] {
             let budget = Energy::from_joules(b);
             let a = simplex.plan(budget).unwrap();
-            let c = closed.plan(budget).unwrap();
             let f = frontier.plan(budget).unwrap();
-            assert!(
-                (a.objective(1.0) - c.objective(1.0)).abs() < 1e-9,
-                "budget {b}"
-            );
             assert!(
                 (a.objective(1.0) - f.objective(1.0)).abs() < 1e-9,
                 "budget {b}: simplex vs frontier"

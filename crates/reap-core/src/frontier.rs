@@ -20,8 +20,8 @@
 //!
 //! The achievable set is the convex hull of `{(0,0)} ∪ {(m_i, w_i)}`, so
 //! the optimum is the **upper concave hull** of those points evaluated at
-//! `x`. Hull vertices are exactly the closed-form solver's vertex
-//! schedules: "run one point for the whole period" (or stay off), and
+//! `x`. Hull vertices are the LP's single-point vertex schedules: "run
+//! one point for the whole period" (or stay off), and
 //! every budget between two adjacent breakpoints mixes the two bracketing
 //! vertices — which is why the LP optimum never activates more than two
 //! points. Beyond the last vertex (the best-weight point) extra energy

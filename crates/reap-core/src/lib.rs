@@ -21,9 +21,11 @@
 //!
 //! * [`ReapProblem::solve`] — the paper's Algorithm 1, a tableau simplex
 //!   (via the `reap-lp` crate);
-//! * [`ReapProblem::solve_closed_form`] — an exact `O(N^2)` vertex search
-//!   exploiting the fact that with two constraints an optimal basic
-//!   solution mixes at most **two** design points.
+//! * [`ReapProblem::frontier`] — the precomputed budget→schedule
+//!   frontier ([`PlanFrontier`]), exploiting the fact that with two
+//!   constraints an optimal basic solution mixes at most **two** design
+//!   points; every solve is then an `O(log K)` lookup. The simplex is its
+//!   oracle.
 //!
 //! # Examples
 //!

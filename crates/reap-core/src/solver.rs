@@ -1,9 +1,4 @@
-//! The two REAP solvers: tableau simplex (Algorithm 1) and the closed-form
-//! vertex search.
-
-// Index-based loops below mirror the textbook linear-algebra notation;
-// iterator rewrites would obscure the row/column structure.
-#![allow(clippy::needless_range_loop)]
+//! The paper's REAP solver: the tableau simplex of Algorithm 1.
 
 use reap_lp::{LpProblem, LpStatus, Relation};
 use reap_units::{Energy, TimeSpan};
@@ -11,7 +6,7 @@ use reap_units::{Energy, TimeSpan};
 use crate::schedule::Allocation;
 use crate::{ReapError, ReapProblem, Schedule};
 
-/// Checks the budget floor shared by both solvers.
+/// Checks the budget against the off-state floor.
 fn check_budget(problem: &ReapProblem, budget: Energy) -> Result<(), ReapError> {
     if !budget.is_finite() {
         return Err(ReapError::InvalidParameter(format!(
@@ -88,99 +83,6 @@ pub(crate) fn solve_simplex(problem: &ReapProblem, budget: Energy) -> Result<Sch
     ))
 }
 
-/// Exact closed-form solver.
-///
-/// Eliminating `t_off = TP - sum t_i` reduces the problem to two
-/// inequality constraints over `t >= 0`:
-///
-/// ```text
-/// maximize sum w_i t_i
-/// s.t.     sum (P_i - P_off) t_i <= Eb - P_off*TP  =: E'
-///          sum t_i <= TP
-/// ```
-///
-/// Any basic optimal solution activates at most two points, so scanning
-/// all singles (one constraint tight) and pairs (both tight) visits every
-/// vertex of the feasible region. `O(N^2)` with tiny constants.
-pub(crate) fn solve_closed_form(
-    problem: &ReapProblem,
-    budget: Energy,
-) -> Result<Schedule, ReapError> {
-    check_budget(problem, budget)?;
-    let tp = problem.period().seconds();
-    let p_off = problem.off_power().watts();
-    let e_prime = budget.joules() - p_off * tp; // >= 0 after check_budget
-    let alpha = problem.alpha();
-    let points = problem.points();
-    let weights: Vec<f64> = points.iter().map(|p| p.weight(alpha)).collect();
-    let marginal: Vec<f64> = points.iter().map(|p| p.power().watts() - p_off).collect();
-
-    // Candidate allocations as (index, seconds) pairs.
-    let mut best: Option<(f64, Vec<(usize, f64)>)> = None;
-    let mut consider = |cand: &[(usize, f64)]| {
-        if cand.iter().any(|&(_, t)| t < -1e-9) {
-            return;
-        }
-        let total: f64 = cand.iter().map(|&(_, t)| t).sum();
-        if total > tp * (1.0 + 1e-12) {
-            return;
-        }
-        let energy: f64 = cand.iter().map(|&(i, t)| marginal[i] * t).sum();
-        if energy > e_prime * (1.0 + 1e-9) + 1e-12 {
-            return;
-        }
-        let value: f64 = cand.iter().map(|&(i, t)| weights[i] * t).sum::<f64>() / tp;
-        if best.as_ref().is_none_or(|(bv, _)| value > *bv) {
-            best = Some((value, cand.to_vec()));
-        }
-    };
-
-    // The all-off vertex.
-    consider(&[]);
-
-    // Singles: energy-limited or time-limited.
-    for i in 0..points.len() {
-        let t_energy = if marginal[i] > 1e-15 {
-            e_prime / marginal[i]
-        } else {
-            f64::INFINITY
-        };
-        let t = t_energy.min(tp);
-        consider(&[(i, t)]);
-    }
-
-    // Pairs with both constraints tight:
-    //   t_i + t_j = TP
-    //   m_i t_i + m_j t_j = E'
-    for i in 0..points.len() {
-        for j in (i + 1)..points.len() {
-            let det = marginal[i] - marginal[j];
-            if det.abs() < 1e-15 {
-                continue; // equal marginal powers: singles already cover it
-            }
-            let ti = (e_prime - marginal[j] * tp) / det;
-            let tj = tp - ti;
-            consider(&[(i, ti), (j, tj)]);
-        }
-    }
-
-    let (_, chosen) = best.expect("the all-off vertex is always feasible");
-    let allocations: Vec<Allocation> = chosen
-        .iter()
-        .map(|&(i, t)| Allocation {
-            point: points[i].clone(),
-            duration: TimeSpan::from_seconds(t.max(0.0)),
-        })
-        .collect();
-    let active: f64 = chosen.iter().map(|&(_, t)| t.max(0.0)).sum();
-    Ok(Schedule::new(
-        allocations,
-        TimeSpan::from_seconds((tp - active).max(0.0)),
-        problem.period(),
-        problem.off_power(),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,7 +123,7 @@ mod tests {
         let p = paper_problem(1.0);
         for schedule in [
             p.solve(Energy::from_joules(5.0)).unwrap(),
-            p.solve_closed_form(Energy::from_joules(5.0)).unwrap(),
+            p.frontier().solve(Energy::from_joules(5.0)).unwrap(),
         ] {
             assert!(
                 (schedule.fraction_for(4) - 0.42).abs() < 0.02,
@@ -285,18 +187,19 @@ mod tests {
     fn both_solvers_agree_across_budgets_and_alphas() {
         for alpha in [0.0, 0.5, 1.0, 2.0, 4.0, 8.0] {
             let p = paper_problem(alpha);
+            let frontier = p.frontier();
             for b in [0.18, 0.5, 1.0, 2.0, 3.0, 4.3, 5.0, 6.5, 8.0, 9.936, 12.0] {
                 let budget = Energy::from_joules(b);
                 let simplex = p.solve(budget).unwrap();
-                let closed = p.solve_closed_form(budget).unwrap();
+                let lookup = frontier.solve(budget).unwrap();
                 assert!(
-                    (simplex.objective(alpha) - closed.objective(alpha)).abs() < 1e-9,
-                    "alpha {alpha} budget {b}: simplex {} vs closed {}",
+                    (simplex.objective(alpha) - lookup.objective(alpha)).abs() < 1e-9,
+                    "alpha {alpha} budget {b}: simplex {} vs frontier {}",
                     simplex.objective(alpha),
-                    closed.objective(alpha)
+                    lookup.objective(alpha)
                 );
                 assert!(simplex.is_feasible(budget, 1e-6));
-                assert!(closed.is_feasible(budget, 1e-6));
+                assert!(lookup.is_feasible(budget, 1e-6));
             }
         }
     }

@@ -4,62 +4,56 @@
 //! techniques using the expected amount of harvested energy and battery
 //! capacity" (Sec. 3.2, citing Kansal et al. and Bhat et al.). This module
 //! provides three such policies with a common interface so the simulator
-//! can ablate them.
+//! can ablate them. Each policy only forms an expectation of the coming
+//! hour's harvest; the battery correction, the grant clamp and the
+//! battery arithmetic live once, in [`BatterySpec`](crate::BatterySpec).
 
 use reap_units::Energy;
 
 use crate::forecast::DiurnalEwma;
 use crate::Battery;
 
+/// The EWMA and uniform-daily allocators' battery gain.
+const BATTERY_GAIN: f64 = 0.1;
+/// The greedy allocator's battery gain.
+const GREEDY_GAIN: f64 = 0.25;
+
 /// A policy that decides each period's energy budget from the harvesting
 /// history and battery state.
 ///
-/// Called once per hour, *before* the period runs, with the energy
-/// harvested during the previous hour and the battery as it stands.
+/// A policy supplies two things: its expectation of the upcoming hour's
+/// harvest ([`BudgetAllocator::expected`]) and how hard it steers the
+/// battery back toward half full ([`BudgetAllocator::battery_gain`]).
+/// The budget is the expectation plus that one correction
+/// ([`BatterySpec::propose`](crate::BatterySpec::propose)).
 pub trait BudgetAllocator {
-    /// Budget for the upcoming hour.
+    /// Expected harvest for the upcoming hour, before the battery
+    /// correction. Folds `harvested_last_hour` into the policy's memory,
+    /// so call it once per hour, in order, *before* the hour runs.
+    fn expected(&mut self, hour_of_day: u32, harvested_last_hour: Energy) -> Energy;
+
+    /// Fraction of the battery's divergence from half full budgeted per
+    /// hour.
+    fn battery_gain(&self) -> f64;
+
+    /// Budget for the upcoming hour: [`BudgetAllocator::expected`] plus
+    /// the battery correction against `battery`.
     fn allocate(
         &mut self,
         hour_of_day: u32,
         harvested_last_hour: Energy,
         battery: &Battery,
-    ) -> Energy;
+    ) -> Energy {
+        let expected = self.expected(hour_of_day, harvested_last_hour);
+        Energy::from_joules(battery.spec().propose(
+            expected.joules(),
+            battery.level().joules(),
+            self.battery_gain(),
+        ))
+    }
 
     /// Short policy name for reports.
     fn name(&self) -> &'static str;
-}
-
-/// The grant rule: no more than `supply` can deliver, but never below
-/// the monitoring `floor` while `supply` still covers it.
-#[inline]
-#[must_use]
-pub fn grant_budget(proposed: Energy, supply: Energy, floor: Energy) -> Energy {
-    proposed.min(supply).max(floor.min(supply))
-}
-
-/// One hour of the open-loop budget protocol: `allocator` proposes
-/// against `virtual_battery`, the proposal is granted against the
-/// battery plus this hour's `harvested` energy ([`grant_budget`]), and
-/// the virtual battery banks the harvest and spends the whole grant.
-/// Returns the grant.
-///
-/// The supply counts the hour's own harvest because execution banks it
-/// before (virtually) spending the budget, so a dark battery must not
-/// deny the floor in a bright hour.
-#[inline]
-pub fn open_loop_step<A: BudgetAllocator + ?Sized>(
-    allocator: &mut A,
-    hour_of_day: u32,
-    harvested_last_hour: Energy,
-    harvested: Energy,
-    floor: Energy,
-    virtual_battery: &mut Battery,
-) -> Energy {
-    let proposed = allocator.allocate(hour_of_day, harvested_last_hour, virtual_battery);
-    let budget = grant_budget(proposed, virtual_battery.deliverable() + harvested, floor);
-    virtual_battery.charge(harvested);
-    virtual_battery.discharge(budget);
-    budget
 }
 
 /// Spend-as-you-go: budget = last hour's harvest plus a battery-level
@@ -69,15 +63,12 @@ pub fn open_loop_step<A: BudgetAllocator + ?Sized>(
 pub struct GreedyAllocator;
 
 impl BudgetAllocator for GreedyAllocator {
-    fn allocate(
-        &mut self,
-        _hour_of_day: u32,
-        harvested_last_hour: Energy,
-        battery: &Battery,
-    ) -> Energy {
-        let target = battery.capacity() * 0.5;
-        let correction = (battery.level() - target) * 0.25;
-        (harvested_last_hour + correction).max(Energy::ZERO)
+    fn expected(&mut self, _hour_of_day: u32, harvested_last_hour: Energy) -> Energy {
+        harvested_last_hour
+    }
+
+    fn battery_gain(&self) -> f64 {
+        GREEDY_GAIN
     }
 
     fn name(&self) -> &'static str {
@@ -101,8 +92,6 @@ pub struct EwmaAllocator {
     /// Shared per-slot diurnal estimator (also used by
     /// [`EwmaForecaster`](crate::EwmaForecaster)).
     ewma: DiurnalEwma,
-    /// Fraction of the battery's divergence from target spent per hour.
-    battery_gain: f64,
     /// `false` until the first call: its `harvested_last_hour` describes
     /// an hour that never ran and must not seed any slot.
     first_call_done: bool,
@@ -113,11 +102,7 @@ impl EwmaAllocator {
     /// (as in Kansal et al.) and a gentle battery gain.
     #[must_use]
     pub fn new() -> EwmaAllocator {
-        EwmaAllocator {
-            ewma: DiurnalEwma::new(0.5),
-            battery_gain: 0.1,
-            first_call_done: false,
-        }
+        EwmaAllocator::from_parts(DiurnalEwma::new(0.5), false)
     }
 
     /// Overrides the smoothing factor (clamped to `(0, 1]`).
@@ -135,13 +120,6 @@ impl EwmaAllocator {
         Energy::from_joules(self.ewma.expected(hour_of_day))
     }
 
-    /// The battery-correction gain (fraction of the battery's divergence
-    /// from the half-full target budgeted per hour).
-    #[must_use]
-    pub fn battery_gain(&self) -> f64 {
-        self.battery_gain
-    }
-
     /// The underlying diurnal estimator, for state extraction
     /// (checkpointing a resident allocator).
     #[must_use]
@@ -157,14 +135,13 @@ impl EwmaAllocator {
     }
 
     /// Rebuilds an allocator from extracted state
-    /// ([`EwmaAllocator::diurnal`] + [`EwmaAllocator::first_call_done`]),
-    /// with the standard battery gain. The round trip is exact: a
-    /// restored allocator budgets bit-identically to the original.
+    /// ([`EwmaAllocator::diurnal`] + [`EwmaAllocator::first_call_done`]).
+    /// The round trip is exact: a restored allocator budgets
+    /// bit-identically to the original.
     #[must_use]
     pub fn from_parts(ewma: DiurnalEwma, first_call_done: bool) -> EwmaAllocator {
         EwmaAllocator {
             ewma,
-            battery_gain: 0.1,
             first_call_done,
         }
     }
@@ -177,12 +154,7 @@ impl Default for EwmaAllocator {
 }
 
 impl BudgetAllocator for EwmaAllocator {
-    fn allocate(
-        &mut self,
-        hour_of_day: u32,
-        harvested_last_hour: Energy,
-        battery: &Battery,
-    ) -> Energy {
+    fn expected(&mut self, hour_of_day: u32, harvested_last_hour: Energy) -> Energy {
         // Update the estimate of the *previous* slot with its outcome —
         // except on the very first call, whose sample is a placeholder
         // for an hour that never ran (the engine passes zero at hour 0;
@@ -193,10 +165,11 @@ impl BudgetAllocator for EwmaAllocator {
         } else {
             self.first_call_done = true;
         }
-        let expected = self.ewma.expected(hour_of_day);
-        let target = battery.capacity() * 0.5;
-        let correction = (battery.level() - target).joules() * self.battery_gain;
-        Energy::from_joules((expected + correction).max(0.0))
+        Energy::from_joules(self.ewma.expected(hour_of_day))
+    }
+
+    fn battery_gain(&self) -> f64 {
+        BATTERY_GAIN
     }
 
     fn name(&self) -> &'static str {
@@ -212,7 +185,6 @@ pub struct UniformDailyAllocator {
     window: [f64; 24],
     cursor: usize,
     filled: bool,
-    battery_gain: f64,
 }
 
 impl UniformDailyAllocator {
@@ -223,7 +195,6 @@ impl UniformDailyAllocator {
             window: [0.0; 24],
             cursor: 0,
             filled: false,
-            battery_gain: 0.1,
         }
     }
 }
@@ -235,12 +206,7 @@ impl Default for UniformDailyAllocator {
 }
 
 impl BudgetAllocator for UniformDailyAllocator {
-    fn allocate(
-        &mut self,
-        _hour_of_day: u32,
-        harvested_last_hour: Energy,
-        battery: &Battery,
-    ) -> Energy {
+    fn expected(&mut self, _hour_of_day: u32, harvested_last_hour: Energy) -> Energy {
         self.window[self.cursor] = harvested_last_hour.joules();
         self.cursor = (self.cursor + 1) % 24;
         if self.cursor == 0 {
@@ -253,10 +219,11 @@ impl BudgetAllocator for UniformDailyAllocator {
             self.cursor.max(1) as f64
         };
         let daily: f64 = self.window.iter().sum();
-        let per_hour = daily / divisor;
-        let target = battery.capacity() * 0.5;
-        let correction = (battery.level() - target).joules() * self.battery_gain;
-        Energy::from_joules((per_hour + correction).max(0.0))
+        Energy::from_joules(daily / divisor)
+    }
+
+    fn battery_gain(&self) -> f64 {
+        BATTERY_GAIN
     }
 
     fn name(&self) -> &'static str {

@@ -1,8 +1,139 @@
-//! A small backup battery / supercapacitor model.
+//! A small backup battery / supercapacitor model, and the two hourly
+//! battery steps every engine shares.
+//!
+//! [`BatterySpec`] holds a battery's constants and runs the steps on a
+//! level in plain joules: the open-loop budget grant
+//! ([`BatterySpec::open_loop_step`]) and the hour's execution
+//! ([`BatterySpec::execute`]). The scalar engine, the struct-of-arrays
+//! fleet kernel and the resident daemon all call these, so the
+//! arithmetic — and therefore every bit of their outcomes — is written
+//! once.
 
 use reap_units::Energy;
 
 use crate::HarvestError;
+
+/// A delivery within this many joules of the deficit still counts as a
+/// fully realized hour in [`BatterySpec::execute`].
+const BROWNOUT_EPS_J: f64 = 1e-12;
+
+/// A battery's constants: capacity and charge/discharge efficiencies.
+///
+/// `Copy`, so a fleet holds it once and keeps each user's level as one
+/// `f64`. Every method takes the level in joules and leaves it inside
+/// `[0, capacity]` when it starts there.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BatterySpec {
+    capacity_j: f64,
+    charge_efficiency: f64,
+    discharge_efficiency: f64,
+}
+
+impl BatterySpec {
+    /// Maximum stored energy, joules.
+    #[must_use]
+    pub fn capacity_j(self) -> f64 {
+        self.capacity_j
+    }
+
+    /// What a load could draw from `level_j` (post-efficiency), joules.
+    #[inline]
+    #[must_use]
+    pub fn deliverable_j(self, level_j: f64) -> f64 {
+        level_j * self.discharge_efficiency
+    }
+
+    /// The allocator's proposal: `expected_j` plus `gain` times the
+    /// level's divergence from half full, never negative. This is the
+    /// battery correction of every [`BudgetAllocator`](crate::BudgetAllocator).
+    #[inline]
+    #[must_use]
+    pub fn propose(self, expected_j: f64, level_j: f64, gain: f64) -> f64 {
+        let correction = (level_j - self.capacity_j * 0.5) * gain;
+        (expected_j + correction).max(0.0)
+    }
+
+    /// The open-loop grant for one hour, spending nothing: the proposal
+    /// ([`BatterySpec::propose`]) clamped to the supply — what `level_j`
+    /// can deliver plus the hour's `harvested_j` — but never below the
+    /// monitoring `floor_j` while the supply still covers it.
+    ///
+    /// The supply counts the hour's own harvest because execution banks
+    /// it before spending the budget, so a dark battery must not deny
+    /// the floor in a bright hour. Pass `harvested_j = 0` when the
+    /// hour's harvest is not yet known.
+    #[inline]
+    #[must_use]
+    pub fn grant(
+        self,
+        level_j: f64,
+        expected_j: f64,
+        gain: f64,
+        harvested_j: f64,
+        floor_j: f64,
+    ) -> f64 {
+        let proposed = self.propose(expected_j, level_j, gain);
+        let supply = self.deliverable_j(level_j) + harvested_j;
+        proposed.min(supply).max(floor_j.min(supply))
+    }
+
+    /// One hour of the open-loop budget protocol on a *virtual* level:
+    /// [`BatterySpec::grant`], then the level banks `harvested_j` and
+    /// spends the whole grant. Returns the grant.
+    #[inline]
+    pub fn open_loop_step(
+        self,
+        level_j: &mut f64,
+        expected_j: f64,
+        gain: f64,
+        harvested_j: f64,
+        floor_j: f64,
+    ) -> f64 {
+        let budget = self.grant(*level_j, expected_j, gain, harvested_j, floor_j);
+        self.charge(level_j, harvested_j);
+        self.discharge(level_j, budget);
+        budget
+    }
+
+    /// Executes one step that needs `needed_j` against a real level:
+    /// draw from the incoming `harvested_j` first (banking any surplus),
+    /// then from the battery, browning out proportionally when supply
+    /// falls short. Returns the realized fraction of `needed_j`, in
+    /// `[0, 1]`.
+    ///
+    /// Branch-free in the level arithmetic: on a charging step the
+    /// deficit is exactly zero, so the discharge is a no-op, and vice
+    /// versa. Batched callers vectorize it.
+    #[inline]
+    pub fn execute(self, level_j: &mut f64, harvested_j: f64, needed_j: f64) -> f64 {
+        self.charge(level_j, (harvested_j - needed_j).max(0.0));
+        let deficit = (needed_j - harvested_j).max(0.0);
+        let delivered = self.discharge(level_j, deficit);
+        if delivered + BROWNOUT_EPS_J < deficit && needed_j > 0.0 {
+            ((harvested_j + delivered) / needed_j).clamp(0.0, 1.0)
+        } else {
+            1.0
+        }
+    }
+
+    /// Stores `energy_j` (pre-efficiency) up to the capacity. Returns
+    /// the energy stored.
+    #[inline]
+    fn charge(self, level_j: &mut f64, energy_j: f64) -> f64 {
+        let stored = (energy_j * self.charge_efficiency).min(self.capacity_j - *level_j);
+        *level_j += stored;
+        stored
+    }
+
+    /// Draws enough to deliver `energy_j`, or all there is. Returns the
+    /// energy delivered (post-efficiency).
+    #[inline]
+    fn discharge(self, level_j: &mut f64, energy_j: f64) -> f64 {
+        let drawn = (energy_j / self.discharge_efficiency).min(*level_j);
+        *level_j -= drawn;
+        drawn * self.discharge_efficiency
+    }
+}
 
 /// A small energy buffer with charge/discharge efficiencies.
 ///
@@ -11,10 +142,8 @@ use crate::HarvestError;
 /// smooth day/night harvesting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Battery {
-    capacity: Energy,
+    spec: BatterySpec,
     level: Energy,
-    charge_efficiency: f64,
-    discharge_efficiency: f64,
 }
 
 impl Battery {
@@ -65,11 +194,19 @@ impl Battery {
             }
         }
         Ok(Battery {
-            capacity,
+            spec: BatterySpec {
+                capacity_j: capacity.joules(),
+                charge_efficiency,
+                discharge_efficiency,
+            },
             level: initial_level,
-            charge_efficiency,
-            discharge_efficiency,
         })
+    }
+
+    /// The battery's constants, for stepping a level kept outside it.
+    #[must_use]
+    pub fn spec(&self) -> BatterySpec {
+        self.spec
     }
 
     /// Current stored energy.
@@ -81,25 +218,25 @@ impl Battery {
     /// Maximum stored energy.
     #[must_use]
     pub fn capacity(&self) -> Energy {
-        self.capacity
+        Energy::from_joules(self.spec.capacity_j)
     }
 
     /// State of charge in `[0, 1]`.
     #[must_use]
     pub fn state_of_charge(&self) -> f64 {
-        self.level / self.capacity
+        self.level.joules() / self.spec.capacity_j
     }
 
     /// Fraction of incoming energy actually stored, in `(0, 1]`.
     #[must_use]
     pub fn charge_efficiency(&self) -> f64 {
-        self.charge_efficiency
+        self.spec.charge_efficiency
     }
 
     /// Fraction of drawn energy actually delivered, in `(0, 1]`.
     #[must_use]
     pub fn discharge_efficiency(&self) -> f64 {
-        self.discharge_efficiency
+        self.spec.discharge_efficiency
     }
 
     /// Charges with `energy` (pre-efficiency). Returns the energy that
@@ -110,13 +247,13 @@ impl Battery {
     /// Panics if `energy` is negative.
     pub fn charge(&mut self, energy: Energy) -> Energy {
         assert!(!energy.is_negative(), "cannot charge negative energy");
-        let storable = energy * self.charge_efficiency;
-        let headroom = self.capacity - self.level;
-        let stored = storable.min(headroom);
-        self.level += stored;
+        let mut level = self.level.joules();
+        let stored = self.spec.charge(&mut level, energy.joules());
+        self.level = Energy::from_joules(level);
         // Spill reported at the input side (before efficiency) for the
         // part that did not fit.
-        (storable - stored) / self.charge_efficiency
+        let eff = self.spec.charge_efficiency;
+        Energy::from_joules((energy.joules() * eff - stored) / eff)
     }
 
     /// Draws up to `energy` from the battery. Returns the energy actually
@@ -128,35 +265,10 @@ impl Battery {
     /// Panics if `energy` is negative.
     pub fn discharge(&mut self, energy: Energy) -> Energy {
         assert!(!energy.is_negative(), "cannot discharge negative energy");
-        let needed_internally = energy / self.discharge_efficiency;
-        let drawn = needed_internally.min(self.level);
-        self.level -= drawn;
-        drawn * self.discharge_efficiency
-    }
-
-    /// How much energy a load could draw right now (post-efficiency).
-    #[must_use]
-    pub fn deliverable(&self) -> Energy {
-        self.level * self.discharge_efficiency
-    }
-
-    /// Overwrites the stored level — state reinjection for
-    /// checkpoint/restore of a resident battery. The exact value is kept
-    /// (no rounding), so a restored battery behaves bit-identically.
-    ///
-    /// # Errors
-    ///
-    /// [`HarvestError::InvalidParameter`] when `level` is not finite or
-    /// outside `[0, capacity]`.
-    pub fn set_level(&mut self, level: Energy) -> Result<(), HarvestError> {
-        if !level.is_finite() || level.is_negative() || level > self.capacity {
-            return Err(HarvestError::InvalidParameter(format!(
-                "level {level} outside [0, {}]",
-                self.capacity
-            )));
-        }
-        self.level = level;
-        Ok(())
+        let mut level = self.level.joules();
+        let delivered = self.spec.discharge(&mut level, energy.joules());
+        self.level = Energy::from_joules(level);
+        Energy::from_joules(delivered)
     }
 }
 
@@ -207,7 +319,7 @@ mod tests {
         assert!((got.joules() - 2.0).abs() < 1e-12);
         // Delivering 2 J at 50% efficiency drained 4 J.
         assert!((b.level().joules() - 6.0).abs() < 1e-12);
-        assert!((b.deliverable().joules() - 3.0).abs() < 1e-12);
+        assert!((b.spec().deliverable_j(b.level().joules()) - 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -222,18 +334,5 @@ mod tests {
     fn negative_charge_panics() {
         let mut b = Battery::small_wearable();
         let _ = b.charge(joules(-1.0));
-    }
-
-    #[test]
-    fn set_level_reinjects_exact_state() {
-        let mut b = Battery::small_wearable();
-        let exact = joules(17.123456789012345);
-        b.set_level(exact).unwrap();
-        assert_eq!(b.level(), exact);
-        assert!(b.set_level(joules(-0.1)).is_err());
-        assert!(b.set_level(joules(60.1)).is_err());
-        assert!(b.set_level(joules(f64::NAN)).is_err());
-        // A rejected set leaves the level untouched.
-        assert_eq!(b.level(), exact);
     }
 }

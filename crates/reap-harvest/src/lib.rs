@@ -70,11 +70,8 @@ mod source;
 mod thermoelectric;
 mod trace;
 
-pub use allocator::{
-    grant_budget, open_loop_step, BudgetAllocator, EwmaAllocator, GreedyAllocator,
-    UniformDailyAllocator,
-};
-pub use battery::Battery;
+pub use allocator::{BudgetAllocator, EwmaAllocator, GreedyAllocator, UniformDailyAllocator};
+pub use battery::{Battery, BatterySpec};
 pub use blackout::BlackoutOverlay;
 pub use capacitor::Capacitor;
 pub use error::HarvestError;

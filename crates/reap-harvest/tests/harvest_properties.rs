@@ -167,6 +167,54 @@ proptest! {
     }
 
     #[test]
+    fn execute_matches_the_branching_hour_step(
+        level in 0.0f64..60.0,
+        harvested in prop_oneof![Just(0.0), 0.0f64..12.0],
+        needed in prop_oneof![Just(0.0), Just(0.18), 0.0f64..12.0],
+    ) {
+        // `BatterySpec::execute` merges the charge and deficit branches;
+        // it must agree bit for bit with the branching form written on
+        // `Battery`, including at ties and on a drained battery.
+        let mut battery = Battery::new(
+            Energy::from_joules(60.0),
+            Energy::from_joules(level),
+            0.95,
+            0.95,
+        ).expect("valid");
+        let mut level_j = level;
+        let fraction = battery.spec().execute(&mut level_j, harvested, needed);
+        let mut reference = 1.0;
+        if harvested >= needed {
+            battery.charge(Energy::from_joules(harvested - needed));
+        } else {
+            let deficit = needed - harvested;
+            let delivered = battery.discharge(Energy::from_joules(deficit)).joules();
+            if delivered + 1e-12 < deficit {
+                reference = ((harvested + delivered) / needed).clamp(0.0, 1.0);
+            }
+        }
+        prop_assert_eq!(fraction.to_bits(), f64::to_bits(reference));
+        prop_assert_eq!(level_j.to_bits(), battery.level().joules().to_bits());
+    }
+
+    #[test]
+    fn open_loop_step_keeps_the_level_in_bounds_and_the_floor_reachable(
+        level in 0.0f64..60.0,
+        expected in 0.0f64..12.0,
+        harvested in prop_oneof![Just(0.0), 0.0f64..12.0],
+    ) {
+        let spec = Battery::small_wearable().spec();
+        let floor = 0.18;
+        let mut level_j = level;
+        let budget = spec.open_loop_step(&mut level_j, expected, 0.1, harvested, floor);
+        let supply = spec.deliverable_j(level) + harvested;
+        prop_assert!(budget <= supply);
+        prop_assert!(budget >= floor.min(supply));
+        prop_assert_eq!(budget, spec.grant(level, expected, 0.1, harvested, floor));
+        prop_assert!((0.0..=spec.capacity_j()).contains(&level_j));
+    }
+
+    #[test]
     fn csv_roundtrip_is_lossless_enough(seed in 0u64..100) {
         let trace = HarvestTrace::september_like(seed);
         let back = HarvestTrace::from_csv(trace.start_day_of_year(), &trace.to_csv())

@@ -135,8 +135,8 @@ proptest! {
     fn reap_solution_uses_at_most_two_design_points(p in arb_reap_like()) {
         // With one equality and one inequality constraint, any basic optimal
         // solution has at most two strictly positive allocations besides
-        // t_off. This structural fact is what the closed-form controller in
-        // reap-core relies on.
+        // t_off. This structural fact is what reap-core's precomputed
+        // frontier relies on.
         let s = p.solve().expect("converges");
         prop_assert_eq!(s.status(), LpStatus::Optimal);
         let n = p.num_vars() - 1;

@@ -76,7 +76,7 @@ pub(crate) fn user_record(state: &UserState) -> [u8; RECORD_BYTES] {
     let (estimates, seen_mask) = state.alloc.diurnal().to_parts();
     put(&seen_mask.to_le_bytes());
     put(&state.observations.to_le_bytes());
-    put(&state.vbat.level().joules().to_le_bytes());
+    put(&state.vbat.to_le_bytes());
     put(&state.last_harvest.joules().to_le_bytes());
     put(&state.harvested_j.to_le_bytes());
     put(&state.budget_j.to_le_bytes());
@@ -231,9 +231,10 @@ pub fn restore(state: &FleetState, bytes: &[u8]) -> Result<u32, ProtocolError> {
 
     // Decode every record before mutating anything, so a bad record
     // cannot leave the population half-restored.
+    let capacity_j = state.battery().capacity_j();
     let mut decoded = Vec::with_capacity(users as usize);
     for user in 0..users {
-        decoded.push(decode_record(&mut r, ewma_alpha, user)?);
+        decoded.push(decode_record(&mut r, ewma_alpha, capacity_j, user)?);
     }
 
     let mut next = decoded.into_iter();
@@ -241,10 +242,7 @@ pub fn restore(state: &FleetState, bytes: &[u8]) -> Result<u32, ProtocolError> {
         // reap-lint: allow(panic:expect) -- users == state.users() was validated; the walk yields exactly that many records
         let d = next.next().expect("one decoded record per user");
         u.alloc = d.alloc;
-        u.vbat
-            .set_level(d.vbat_level)
-            // reap-lint: allow(panic:expect) -- decode_record already rejected levels outside [0, capacity]
-            .expect("level validated during decode");
+        u.vbat = d.vbat_level;
         u.last_harvest = d.last_harvest;
         u.last_hour = d.last_hour;
         u.observations = d.observations;
@@ -259,7 +257,7 @@ pub fn restore(state: &FleetState, bytes: &[u8]) -> Result<u32, ProtocolError> {
 
 struct DecodedUser {
     alloc: EwmaAllocator,
-    vbat_level: Energy,
+    vbat_level: f64,
     last_harvest: Energy,
     last_hour: u32,
     observations: u64,
@@ -273,6 +271,7 @@ struct DecodedUser {
 fn decode_record(
     r: &mut Reader<'_>,
     ewma_alpha: f64,
+    capacity_j: f64,
     user: u32,
 ) -> Result<DecodedUser, ProtocolError> {
     let bad = |what: &str| ProtocolError::new(ErrorCode::Snapshot, format!("user {user}: {what}"));
@@ -299,7 +298,7 @@ fn decode_record(
     if !last_budget.is_finite() {
         return Err(bad("non-finite last_budget"));
     }
-    if !vbat_level.is_finite() || !(0.0..=60.0).contains(&vbat_level) {
+    if !(0.0..=capacity_j).contains(&vbat_level) {
         return Err(bad("battery level outside [0, capacity]"));
     }
     if !last_harvest.is_finite() || last_harvest < 0.0 {
@@ -327,7 +326,7 @@ fn decode_record(
             DiurnalEwma::from_parts(ewma_alpha, estimates, seen_mask),
             flags & 1 == 1,
         ),
-        vbat_level: Energy::from_joules(vbat_level),
+        vbat_level,
         last_harvest: Energy::from_joules(last_harvest),
         last_hour,
         observations,
@@ -678,6 +677,43 @@ mod tests {
         // The pristine bytes still restore fine afterwards.
         assert_eq!(restore(&same, &bytes).unwrap(), 4);
         assert_eq!(same.fleet_stats(), state.fleet_stats());
+    }
+
+    #[test]
+    fn restore_refuses_a_battery_level_outside_the_fleet_capacity() {
+        let state = warmed(4, 1, 10);
+        let bytes = snapshot(&state);
+        let capacity_j = state.battery().capacity_j();
+        // User 2's image with `vbat_level` (after flags, last_hour,
+        // seen_mask and observations) set to `level`, the digest
+        // recomputed: well-formed in every other respect.
+        let with_level = |level: f64| {
+            let mut image = bytes.clone();
+            let at = HEADER_BYTES + 2 * RECORD_BYTES + 4 + 4 + 4 + 8;
+            image[at..at + 8].copy_from_slice(&level.to_le_bytes());
+            let tail = image.len() - 8;
+            let mut digest = Fnv::new();
+            digest.write_bytes(&image[HEADER_BYTES..tail]);
+            image[tail..].copy_from_slice(&digest.finish().to_le_bytes());
+            image
+        };
+        for level in [capacity_j + 1e-9, -1e-9, f64::NAN, f64::INFINITY] {
+            let target = warmed(4, 1, 3);
+            let before = snapshot(&target);
+            let err = restore(&target, &with_level(level)).unwrap_err();
+            assert_eq!(err.code, ErrorCode::Snapshot, "level {level}");
+            assert!(err.message.contains("battery level"), "{}", err.message);
+            assert_eq!(
+                snapshot(&target),
+                before,
+                "level {level} touched the target"
+            );
+        }
+        // A full battery is a valid level.
+        assert_eq!(
+            restore(&warmed(4, 1, 3), &with_level(capacity_j)).unwrap(),
+            4
+        );
     }
 
     #[test]

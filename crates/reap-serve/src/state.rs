@@ -2,10 +2,12 @@
 //!
 //! The simulator rebuilds users from seeds every run; the daemon instead
 //! holds each user's *live* policy state in memory — the EWMA diurnal
-//! allocator, the virtual battery of the open-loop protocol, and running
-//! accumulators — and advances it one observation at a time. Users are
-//! derived from a [`Fleet`] (same seeds, same
-//! [`Fleet::user_params`] definition), so a daemon observing the exact
+//! allocator, the virtual battery level of the open-loop protocol, and
+//! running accumulators — and advances it one observation at a time.
+//! Users are derived from a [`Fleet`] (same seeds, same
+//! [`Fleet::user_params`] definition, same device constants), and each
+//! observation runs the simulator's own open-loop step
+//! ([`BatterySpec::open_loop_step`]), so a daemon observing the exact
 //! hours a simulation ran grants the exact budgets the simulation
 //! granted.
 //!
@@ -29,27 +31,23 @@ use std::collections::BTreeMap;
 use crate::locks::{rank, OrderedLock};
 
 use reap_core::{Decision, FrontierTable, ReapProblem};
-use reap_harvest::{grant_budget, open_loop_step, Battery, BudgetAllocator, EwmaAllocator};
+use reap_harvest::{BatterySpec, BudgetAllocator, EwmaAllocator};
 use reap_sim::Fleet;
-use reap_units::{Energy, Power, TimeSpan};
+use reap_units::{Energy, TimeSpan};
 
 use crate::protocol::{ErrorCode, FleetStats, ProtocolError};
 
 /// Sentinel for "no observation absorbed yet" in [`UserState::last_hour`].
 pub(crate) const NO_HOUR: u32 = u32::MAX;
 
-/// The off-state power every fleet device idles at (matches the SoA core
-/// and the scalar engine: 50 µW).
-const OFF_POWER_UW: f64 = 50.0;
-
 /// One user's live policy state.
 #[derive(Debug, Clone)]
 pub(crate) struct UserState {
     /// The Kansal-style diurnal budget allocator, warm.
     pub alloc: EwmaAllocator,
-    /// The open-loop protocol's virtual battery (assumes every granted
-    /// budget is fully spent).
-    pub vbat: Battery,
+    /// The open-loop protocol's virtual battery level, joules (assumes
+    /// every granted budget is fully spent).
+    pub vbat: f64,
     /// Harvest reported by the most recent observation (feeds the next
     /// allocation, exactly like the engine's `harvested_last_hour`).
     pub last_harvest: Energy,
@@ -103,6 +101,8 @@ pub struct FleetState {
     /// The EWMA smoothing factor every resident allocator runs
     /// (checkpointed so restore can rebuild allocators exactly).
     ewma_alpha: f64,
+    /// The battery every user's virtual level steps against.
+    battery: BatterySpec,
 }
 
 impl FleetState {
@@ -125,7 +125,8 @@ impl FleetState {
         // Cohort dedup on the SoA simulation core's key, so a fleet
         // reports the same cohort count served or simulated. Cohorts are
         // numbered in first-appearance user order.
-        let off_power = Power::from_microwatts(OFF_POWER_UW);
+        let off_power = fleet.off_power();
+        let battery = fleet.battery();
         let mut cohorts: BTreeMap<Vec<u64>, u32> = BTreeMap::new();
         let mut table = FrontierTable::new(TimeSpan::from_hours(1.0), off_power);
         let mut shard_users: Vec<Vec<UserState>> = vec![Vec::new(); shards];
@@ -155,7 +156,7 @@ impl FleetState {
             // reap-lint: allow(panic:index) -- `u % shards` is < shards == shard_users.len()
             shard_users[u as usize % shards].push(UserState {
                 alloc: EwmaAllocator::new(),
-                vbat: Battery::small_wearable(),
+                vbat: battery.level().joules(),
                 last_harvest: Energy::ZERO,
                 last_hour: NO_HOUR,
                 observations: 0,
@@ -178,6 +179,7 @@ impl FleetState {
             users,
             fingerprint: fp.finish(),
             ewma_alpha: EwmaAllocator::new().diurnal().alpha(),
+            battery: battery.spec(),
         })
     }
 
@@ -205,12 +207,17 @@ impl FleetState {
         self.ewma_alpha
     }
 
+    /// The battery every user's virtual level steps against.
+    pub(crate) fn battery(&self) -> BatterySpec {
+        self.battery
+    }
+
     /// Runs `f` on user `user`'s state (under its shard lock) together
-    /// with the cohort frontier table.
+    /// with the cohort frontier table and the battery constants.
     fn with_user<T>(
         &self,
         user: u32,
-        f: impl FnOnce(&mut UserState, &FrontierTable) -> T,
+        f: impl FnOnce(&mut UserState, &FrontierTable, BatterySpec) -> T,
     ) -> Result<T, ProtocolError> {
         if user >= self.users {
             return Err(ProtocolError::new(
@@ -224,16 +231,17 @@ impl FleetState {
         let mut shard = self.shards[user as usize % shards].lock();
         // reap-lint: allow(panic:index) -- striping invariant: user < self.users puts `user / shards` in this shard
         let state = &mut shard.users[user as usize / shards];
-        Ok(f(state, &self.table))
+        Ok(f(state, &self.table, self.battery))
     }
 
     /// Absorbs one completed hour of `user`'s life — one open-loop
-    /// protocol step, arithmetic-identical to the simulation engine's:
-    /// the allocator proposes from the *previous* hour's harvest, the
-    /// grant is clamped to what the virtual supply (battery plus this
-    /// hour's harvest) can deliver but never below the reachable
-    /// monitoring floor, then the virtual battery banks the harvest and
-    /// spends the whole budget. Returns the granted budget in joules.
+    /// protocol step, the simulation engine's own
+    /// ([`BatterySpec::open_loop_step`]): the allocator proposes from the
+    /// *previous* hour's harvest, the grant is clamped to what the
+    /// virtual supply (battery plus this hour's harvest) can deliver but
+    /// never below the reachable monitoring floor, then the virtual
+    /// battery banks the harvest and spends the whole budget. Returns the
+    /// granted budget in joules.
     ///
     /// # Errors
     ///
@@ -291,7 +299,7 @@ impl FleetState {
             ));
         }
         let hour = hour % 24;
-        self.with_user(user, |state, table| {
+        self.with_user(user, |state, table, battery| {
             if let Some(s) = seq {
                 if s == state.last_seq {
                     // Duplicate delivery of the newest observe: replay
@@ -305,56 +313,57 @@ impl FleetState {
                     ));
                 }
             }
-            let harvested = Energy::from_joules(harvest_j);
-            let budget = open_loop_step(
-                &mut state.alloc,
-                hour,
-                state.last_harvest,
-                harvested,
-                Energy::from_joules(table.min_budget_j()),
+            let expected = state.alloc.expected(hour, state.last_harvest);
+            let budget = battery.open_loop_step(
                 &mut state.vbat,
+                expected.joules(),
+                state.alloc.battery_gain(),
+                harvest_j,
+                table.min_budget_j(),
             );
-            state.last_harvest = harvested;
+            state.last_harvest = Energy::from_joules(harvest_j);
             state.last_hour = hour;
             state.observations += 1;
             state.harvested_j += harvest_j;
-            state.budget_j += budget.joules();
+            state.budget_j += budget;
             state.activity += activity.unwrap_or(0.0);
             if let Some(s) = seq {
                 state.last_seq = s;
-                state.last_budget = budget.joules();
+                state.last_budget = budget;
             }
-            Ok(budget.joules())
+            Ok(budget)
         })?
     }
 
     /// Serves an allocation decision for `user`'s upcoming hour from the
-    /// cohort's cached frontier. Read-only and idempotent: the proposal
-    /// is computed on a throwaway clone of the allocator (exactly what
-    /// the next [`FleetState::observe`] will propose), clamped to what
-    /// the battery alone can deliver — the upcoming hour's harvest is
-    /// not yet known at decide time — and resolved with one
+    /// cohort's cached frontier. Read-only and idempotent: the
+    /// expectation is computed on a throwaway clone of the allocator
+    /// (exactly what the next [`FleetState::observe`] will expect), the
+    /// grant counts no harvest — the upcoming hour's is not yet known at
+    /// decide time — and the budget resolves with one
     /// [`FrontierTable::decide`] walk.
     ///
     /// # Errors
     ///
     /// [`ErrorCode::UnknownUser`] for an out-of-range user.
     pub fn decide(&self, user: u32) -> Result<DecideOutcome, ProtocolError> {
-        self.with_user(user, |state, table| {
+        self.with_user(user, |state, table, battery| {
             let next_hour = if state.last_hour == NO_HOUR {
                 0
             } else {
                 (state.last_hour + 1) % 24
             };
-            let proposed = state
-                .alloc
-                .clone()
-                .allocate(next_hour, state.last_harvest, &state.vbat);
-            let floor = Energy::from_joules(table.min_budget_j());
-            let budget = grant_budget(proposed, state.vbat.deliverable(), floor);
+            let expected = state.alloc.clone().expected(next_hour, state.last_harvest);
+            let budget_j = battery.grant(
+                state.vbat,
+                expected.joules(),
+                state.alloc.battery_gain(),
+                0.0,
+                table.min_budget_j(),
+            );
             DecideOutcome {
-                budget_j: budget.joules(),
-                decision: table.decide(state.cohort, budget.joules()),
+                budget_j,
+                decision: table.decide(state.cohort, budget_j),
             }
         })
     }
@@ -382,7 +391,7 @@ impl FleetState {
             stats.observations += state.observations;
             stats.harvested_j += state.harvested_j;
             stats.budget_j += state.budget_j;
-            stats.battery_j += state.vbat.level().joules();
+            stats.battery_j += state.vbat;
             stats.activity += state.activity;
             digest.write_bytes(&crate::snapshot::user_record(state));
         });

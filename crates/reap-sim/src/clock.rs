@@ -566,12 +566,12 @@ impl<'s> IntermittentCore<'s> {
             return Ok(());
         }
         if self.planned_hour != Some(h) {
-            let view = self.cap_as_battery();
+            let level_j = self.cap.energy().joules();
             let planner = self
                 .planner
                 .as_mut()
                 .expect("non-burst policies plan hourly");
-            let plan = planner.plan_hour(h, self.hour_harvest, &view)?;
+            let plan = planner.plan_hour(h, self.hour_harvest, level_j)?;
             self.planned_hour = Some(h);
             self.current_plan = Some(plan.clone());
             self.hour_last_plan = Some(plan);
@@ -579,15 +579,6 @@ impl<'s> IntermittentCore<'s> {
             self.hour_last_plan = Some(plan.clone());
         }
         Ok(())
-    }
-
-    /// The capacitor as the `Battery` view the hourly budget layer and
-    /// the MPC expect: capacity = store capacity, level = store level,
-    /// loss-free (the capacitor's own efficiency and leakage are
-    /// simulated by the core, not by the planning view).
-    fn cap_as_battery(&self) -> Battery {
-        Battery::new(self.cap.capacity(), self.cap.energy(), 1.0, 1.0)
-            .expect("capacitor level is within [0, capacity]")
     }
 
     /// Approxify-style burst planning: pick the operating point that
@@ -774,7 +765,11 @@ fn run_intermittent_mode(
     let planner = if policy == Policy::Intermittent {
         None
     } else {
-        Some(HourPlanner::new(scenario, policy, None)?)
+        // The hourly budget layer and the MPC see the capacitor as a
+        // loss-free battery: the store's own efficiency and leakage are
+        // simulated by the core, not by the planning view.
+        let view = Battery::new(config.capacitor.capacity(), Energy::ZERO, 1.0, 1.0)?;
+        Some(HourPlanner::new(scenario, policy, None, view.spec())?)
     };
     // The burst policy's candidates: each point running flat out for a
     // full period, computed once.

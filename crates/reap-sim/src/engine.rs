@@ -4,7 +4,7 @@ use std::borrow::Cow;
 use std::fmt;
 
 use reap_core::{static_schedule, ReapController, RecedingHorizonController, Schedule, SolverKind};
-use reap_harvest::open_loop_step;
+use reap_harvest::BatterySpec;
 use reap_units::Energy;
 
 use crate::report::{HourRecord, SimReport};
@@ -72,19 +72,21 @@ impl fmt::Display for Policy {
 /// [`run_matrix`](crate::run_matrix)) compute it once and share it.
 pub(crate) fn open_loop_budgets(scenario: &Scenario) -> Vec<Energy> {
     let mut allocator = scenario.allocator.instantiate();
-    let mut virtual_battery = scenario.battery.clone();
-    let floor = scenario.problem.min_budget();
+    let gain = allocator.battery_gain();
+    let battery = scenario.battery.spec();
+    let mut virtual_level = scenario.battery.level().joules();
+    let floor_j = scenario.problem.min_budget().joules();
     let mut budgets = Vec::with_capacity(scenario.trace.len_hours());
     let mut harvested_last_hour = Energy::ZERO;
     for (i, harvested) in scenario.trace.iter().enumerate() {
-        budgets.push(open_loop_step(
-            allocator.as_mut(),
-            (i % 24) as u32,
-            harvested_last_hour,
-            harvested,
-            floor,
-            &mut virtual_battery,
-        ));
+        let expected = allocator.expected((i % 24) as u32, harvested_last_hour);
+        budgets.push(Energy::from_joules(battery.open_loop_step(
+            &mut virtual_level,
+            expected.joules(),
+            gain,
+            harvested.joules(),
+            floor_j,
+        )));
         harvested_last_hour = harvested;
     }
     budgets
@@ -106,13 +108,16 @@ pub(crate) struct HourPlanner<'s> {
         Box<dyn reap_harvest::HarvestForecaster>,
     )>,
     precomputed: Option<Cow<'s, [Energy]>>,
+    /// The store the hour's budget is planned against.
+    battery: BatterySpec,
     floor: Energy,
     total_hours: usize,
     harvested_last_hour: Energy,
 }
 
 impl<'s> HourPlanner<'s> {
-    /// Builds the planning pipeline for one `(scenario, policy)` run.
+    /// Builds the planning pipeline for one `(scenario, policy)` run
+    /// whose store has the constants `battery`.
     ///
     /// Rejects [`Policy::Intermittent`]: burst planning has no hourly
     /// budget layer — the event core handles it directly.
@@ -120,6 +125,7 @@ impl<'s> HourPlanner<'s> {
         scenario: &'s Scenario,
         policy: Policy,
         shared_budgets: Option<&'s [Energy]>,
+        battery: BatterySpec,
     ) -> Result<Self, SimError> {
         if policy == Policy::Intermittent {
             return Err(SimError::InvalidParameter(
@@ -160,6 +166,7 @@ impl<'s> HourPlanner<'s> {
             allocator,
             mpc,
             precomputed,
+            battery,
             floor,
             total_hours: scenario.trace.len_hours(),
             harvested_last_hour: Energy::ZERO,
@@ -176,30 +183,40 @@ impl<'s> HourPlanner<'s> {
     /// can still provide it, so the monitoring circuitry is kept alive
     /// through dark hours. The MPC policy instead plans its whole
     /// forecast window jointly and reports the planned energy as the
-    /// budget.
+    /// budget. `level_j` is the store's level as the hour starts.
     pub(crate) fn plan_hour(
         &mut self,
         i: usize,
         harvested: Energy,
-        battery: &reap_harvest::Battery,
+        level_j: f64,
     ) -> Result<(Energy, Schedule), SimError> {
         let hour = (i % 24) as u32;
         match (self.policy, &mut self.mpc) {
             (Policy::Horizon { lookahead }, Some((mpc_controller, forecaster))) => {
                 let window = lookahead.min(self.total_hours - i);
                 let forecast = forecaster.forecast(i, window);
-                let planned =
-                    mpc_controller.plan(&forecast, battery.level(), battery.capacity())?;
+                let planned = mpc_controller.plan(
+                    &forecast,
+                    Energy::from_joules(level_j),
+                    Energy::from_joules(self.battery.capacity_j()),
+                )?;
                 Ok((planned.energy(), planned))
             }
             _ => {
                 let budget = match &self.precomputed {
                     Some(budgets) => budgets[i],
                     None => {
-                        let proposed =
-                            self.allocator
-                                .allocate(hour, self.harvested_last_hour, battery);
-                        proposed.max(self.floor.min(battery.deliverable() + harvested))
+                        // Closed loop: the proposal is clamped up to the
+                        // reachable floor only; execution browns out an
+                        // optimistic one.
+                        let expected = self.allocator.expected(hour, self.harvested_last_hour);
+                        let proposed = self.battery.propose(
+                            expected.joules(),
+                            level_j,
+                            self.allocator.battery_gain(),
+                        );
+                        let supply = self.battery.deliverable_j(level_j) + harvested.joules();
+                        Energy::from_joules(proposed.max(self.floor.joules().min(supply)))
                     }
                 };
                 let planned = match self.policy {
@@ -238,26 +255,33 @@ impl<'s> HourPlanner<'s> {
     }
 }
 
-/// Executes one step against a battery: draw from the incoming harvest
-/// first, then the battery; brown out proportionally if supply falls
-/// short. Returns the realized fraction of `needed` in `[0, 1]`.
-fn execute_step(battery: &mut reap_harvest::Battery, harvested: Energy, needed: Energy) -> f64 {
-    let mut realized_fraction = 1.0;
-    if harvested >= needed {
-        battery.charge(harvested - needed);
-    } else {
-        let deficit = needed - harvested;
-        let delivered = battery.discharge(deficit);
-        if delivered.joules() + 1e-12 < deficit.joules() {
-            let supplied = harvested + delivered;
-            realized_fraction = if needed.joules() > 0.0 {
-                (supplied / needed).clamp(0.0, 1.0)
-            } else {
-                1.0
-            };
-        }
+/// Executes one hour's `needed` energy against the real `level_j`, as
+/// `steps` equal steps ([`BatterySpec::execute`]). Returns the realized
+/// fraction of `needed` in `[0, 1]`. At one step the step sees the
+/// hour's own harvest and planned energy, not a split of them.
+fn execute_step(
+    battery: BatterySpec,
+    level_j: &mut f64,
+    harvested: Energy,
+    needed: Energy,
+    steps: u32,
+) -> f64 {
+    if steps == 1 {
+        return battery.execute(level_j, harvested.joules(), needed.joules());
     }
-    realized_fraction
+    // Spread the hour uniformly over its steps and form the realized
+    // fraction from the joules actually supplied.
+    let frac = 1.0 / f64::from(steps);
+    let (step_needed, step_harvest) = ((needed * frac).joules(), (harvested * frac).joules());
+    let mut supplied = 0.0f64;
+    for _ in 0..steps {
+        supplied += step_needed * battery.execute(level_j, step_harvest, step_needed);
+    }
+    if needed.joules() > 0.0 {
+        (supplied / needed.joules()).clamp(0.0, 1.0)
+    } else {
+        1.0
+    }
 }
 
 /// Runs `scenario` under `policy`, optionally against an open-loop budget
@@ -268,8 +292,7 @@ fn execute_step(battery: &mut reap_harvest::Battery, harvested: Energy, needed: 
 /// [`IntermittentConfig`](crate::IntermittentConfig)) are routed to the
 /// event core in [`crate::clock`]; every battery scenario takes the hour
 /// loop below, which executes each hour as `3600 / dt_seconds` equal
-/// steps. At one step per hour the step sees the hour's own harvest and
-/// planned energy, not a split of them.
+/// steps.
 pub(crate) fn run_with_budgets(
     scenario: &Scenario,
     policy: Policy,
@@ -283,35 +306,19 @@ pub(crate) fn run_with_budgets(
     if let Policy::Static(id) = policy {
         scenario.problem.point(id)?;
     }
-    let mut planner = HourPlanner::new(scenario, policy, shared_budgets)?;
-    let mut battery = scenario.battery.clone();
+    let battery = scenario.battery.spec();
+    let mut planner = HourPlanner::new(scenario, policy, shared_budgets, battery)?;
+    let mut level_j = scenario.battery.level().joules();
     let total_hours = scenario.trace.len_hours();
     let mut hours = Vec::with_capacity(total_hours);
     let steps = 3600 / scenario.dt_seconds;
-    let frac = 1.0 / f64::from(steps);
 
     for (i, harvested) in scenario.trace.iter().enumerate() {
         let day = (i / 24) as u32;
         let hour = (i % 24) as u32;
-        let (budget, planned) = planner.plan_hour(i, harvested, &battery)?;
-        let needed = planned.energy();
-        let realized_fraction = if steps == 1 {
-            execute_step(&mut battery, harvested, needed)
-        } else {
-            // Spread the hour uniformly over its steps and form the
-            // realized fraction from the joules actually supplied.
-            let (step_needed, step_harvest) = (needed * frac, harvested * frac);
-            let mut supplied = 0.0f64;
-            for _ in 0..steps {
-                let sf = execute_step(&mut battery, step_harvest, step_needed);
-                supplied += step_needed.joules() * sf;
-            }
-            if needed.joules() > 0.0 {
-                (supplied / needed.joules()).clamp(0.0, 1.0)
-            } else {
-                1.0
-            }
-        };
+        let (budget, planned) = planner.plan_hour(i, harvested, level_j)?;
+        let realized_fraction =
+            execute_step(battery, &mut level_j, harvested, planned.energy(), steps);
         hours.push(HourRecord {
             day,
             hour,
@@ -319,7 +326,7 @@ pub(crate) fn run_with_budgets(
             budget,
             planned,
             realized_fraction,
-            battery_level: battery.level(),
+            battery_level: Energy::from_joules(level_j),
         });
         planner.end_hour(i, harvested);
     }

@@ -26,7 +26,8 @@ use std::sync::{Arc, OnceLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reap_core::OperatingPoint;
-use reap_harvest::{HarvestTrace, SourceKind, TracePerturbation};
+use reap_harvest::{Battery, HarvestTrace, SourceKind, TracePerturbation};
+use reap_units::Power;
 
 use crate::engine::Policy;
 use crate::matrix::run_matrix_with_threads;
@@ -199,6 +200,19 @@ impl Fleet {
         &self.sources
     }
 
+    /// The off-state power every user's device idles at (50 µW).
+    #[must_use]
+    pub fn off_power(&self) -> Power {
+        Power::from_microwatts(50.0)
+    }
+
+    /// The battery every user's device starts from
+    /// ([`Battery::small_wearable`]).
+    #[must_use]
+    pub fn battery(&self) -> Battery {
+        Battery::small_wearable()
+    }
+
     /// The harvest source powering user `user`'s device.
     #[must_use]
     pub fn user_source(&self, user: u32) -> SourceKind {
@@ -249,6 +263,8 @@ impl Fleet {
         let mut builder = Scenario::builder(trace)
             .points(params.points)
             .alpha(params.alpha)
+            .off_power(self.off_power())
+            .battery(self.battery())
             .allocator(self.allocator)
             .forecaster(self.forecaster)
             .dt_seconds(self.dt_seconds);

@@ -24,10 +24,14 @@
 //!   hours before the next shard starts, so the working set stays
 //!   cache-resident, and shards parallelize across worker threads.
 //!
-//! Every per-user arithmetic step replicates the scalar engine's
-//! operations in the same order on the same values, so per-user outcomes
-//! are bit-identical to [`Fleet::user_scenario`] replay — a property the
-//! `soa_equivalence` tests pin (to 1e-12, though in practice exact).
+//! The hour's battery arithmetic is not restated here: the allocate
+//! pass calls [`BatterySpec::open_loop_step`] and the execute pass calls
+//! [`BatterySpec::execute`], the same functions the scalar engine and
+//! the `reap-serve` daemon call, on the same values in the same order.
+//! Only the allocators' memories (EWMA slots, the uniform-daily window)
+//! and the plan lookups are laid out as columns. Per-user outcomes are
+//! therefore bit-identical to [`Fleet::user_scenario`] replay — a
+//! property the `soa_equivalence` tests pin bit for bit.
 //! [`Policy::Horizon`] is the exception: its receding-horizon controller
 //! keeps genuinely per-user state (the forecaster and the cached plan
 //! tail), so the fleet falls back to the scalar engine for it.
@@ -38,22 +42,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use reap_core::{FrontierTable, OperatingPoint, ReapProblem, TableVertex};
-use reap_harvest::{Battery, SourceKind};
-use reap_units::{Power, TimeSpan};
+use reap_harvest::{BatterySpec, EwmaAllocator, SourceKind};
+use reap_units::TimeSpan;
 
 use crate::engine::Policy;
 use crate::fleet::Fleet;
 use crate::{AllocatorKind, SimError};
 
-/// The EWMA allocator's smoothing factor (`EwmaAllocator::new`).
-const EWMA_ALPHA: f64 = 0.5;
-/// The EWMA / uniform-daily allocators' battery gain.
-const BATTERY_GAIN: f64 = 0.1;
-/// The greedy allocator's battery gain.
-const GREEDY_GAIN: f64 = 0.25;
-/// The engine's brownout tolerance: a delivery within 1e-12 J of the
-/// deficit still counts as a fully realized hour.
-const BROWNOUT_EPS_J: f64 = 1e-12;
 /// `Schedule::new` drops allocations at or below this duration.
 const DROP_S: f64 = 1e-6;
 
@@ -127,17 +122,19 @@ pub struct SoaFleet {
     days: u32,
     shard_users: usize,
     allocator: AllocatorKind,
+    /// The allocator's battery gain and EWMA smoothing factor, read off
+    /// the allocator the scalar engine instantiates.
+    battery_gain: f64,
+    ewma_alpha: f64,
     kernel: PlanKernel,
     // Problem constants (identical across cohorts: the fleet fixes the
     // off power and period for every user).
     floor_j: f64,
     tp_s: f64,
     off_w: f64,
-    // Battery constants (every fleet user starts from the same battery).
-    cap_j: f64,
+    // Every fleet user starts from the same battery.
+    battery: BatterySpec,
     init_j: f64,
-    eff_c: f64,
-    eff_d: f64,
     /// Shared base traces in joules, one per distinct source kind used.
     traces: Vec<Vec<f64>>,
     /// Permuted position -> original user index.
@@ -261,9 +258,6 @@ impl SoaFleet {
             }
         }
 
-        let battery = Battery::small_wearable();
-        let eff_d = battery.discharge_efficiency();
-
         // Build every cohort's plan data in renumbered order: its run of
         // the shared frontier arena plus the two constant plan regimes
         // (see [`CachedPlan`]). The cached plans are plain
@@ -272,10 +266,11 @@ impl SoaFleet {
         // regime. Cohorts are numbered in permuted first-use order, so
         // the hour kernel reads the arena in ascending offsets across a
         // shard.
-        let mut floor_j = Power::from_microwatts(50.0).watts() * 3600.0;
+        let off_power = fleet.off_power();
+        let mut floor_j = off_power.watts() * 3600.0;
         let mut tp_s = 3600.0;
-        let mut off_w = Power::from_microwatts(50.0).watts();
-        let mut table = FrontierTable::new(TimeSpan::from_hours(1.0), Power::from_microwatts(50.0));
+        let mut off_w = off_power.watts();
+        let mut table = FrontierTable::new(TimeSpan::from_hours(1.0), off_power);
         let mut statics: Vec<StaticPoint> = Vec::new();
         let mut floor_plan = Vec::with_capacity(cohorts as usize);
         let mut sat_plan = Vec::with_capacity(cohorts as usize);
@@ -290,7 +285,7 @@ impl SoaFleet {
                 let (alpha, points) = &cohort_params[oc as usize];
                 let problem = ReapProblem::builder()
                     .alpha(*alpha)
-                    .off_power(Power::from_microwatts(50.0))
+                    .off_power(off_power)
                     .points(points.clone())
                     .build()?;
                 floor_j = problem.min_budget().joules();
@@ -339,20 +334,21 @@ impl SoaFleet {
             _ => PlanKernel::Scalar,
         };
 
+        let battery = fleet.battery();
         let mut soa = SoaFleet {
             users,
             hours,
             days: fleet.days,
             shard_users: fleet.shard_users.get(),
             allocator: fleet.allocator,
+            battery_gain: fleet.allocator.instantiate().battery_gain(),
+            ewma_alpha: EwmaAllocator::new().diurnal().alpha(),
             kernel,
             floor_j,
             tp_s,
             off_w,
-            cap_j: battery.capacity().joules(),
+            battery: battery.spec(),
             init_j: battery.level().joules(),
-            eff_c: battery.charge_efficiency(),
-            eff_d,
             traces,
             perm,
             gain,
@@ -537,18 +533,17 @@ impl SoaFleet {
             _ => Vec::new(),
         };
 
-        let (cap_j, eff_c, eff_d) = (self.cap_j, self.eff_c, self.eff_d);
-        let vtarget_j = cap_j * 0.5;
-        let floor_j = self.floor_j;
+        let (battery, battery_gain, floor_j) = (self.battery, self.battery_gain, self.floor_j);
         let tp = self.tp_s;
         let off_w = self.off_w;
 
-        // Per-hour stage temporaries: budgets out of the allocator pass,
-        // plan scalars out of the plan pass. Splitting the hour into
-        // array passes keeps the allocator and execute loops free of
-        // data-dependent branches (each engine conditional merges: its
-        // untaken side contributes exactly zero, see the stage comments),
-        // which lets them vectorize; only the plan pass stays scalar.
+        // Per-hour stage temporaries: expectations and budgets out of the
+        // allocate passes, plan scalars out of the plan pass. Splitting
+        // the hour into array passes keeps the allocate and execute loops
+        // free of data-dependent branches in the battery arithmetic
+        // (`BatterySpec`'s steps are branch-free), which lets them
+        // vectorize; only the plan pass stays scalar.
+        let mut exp_t = vec![0.0f64; nu];
         let mut budget_t = vec![0.0f64; nu];
         let mut pacc_t = vec![0.0f64; nu];
         let mut pact_t = vec![0.0f64; nu];
@@ -560,14 +555,15 @@ impl SoaFleet {
 
             // EWMA observe pass: every user folds last hour's harvest
             // into the previous slot — seeding it on the first day,
-            // blending afterwards (`EwmaAllocator::allocate`). The very
+            // blending afterwards (`DiurnalEwma::observe`). The very
             // first call carries no real sample and is discarded.
             if matches!(self.allocator, AllocatorKind::Ewma) && i >= 1 {
+                let alpha = self.ewma_alpha;
                 let prev = (hod + 23) % 24;
                 let est_prev = &mut est[prev * nu..prev * nu + nu];
                 if i >= 25 {
                     for (e, &h) in est_prev.iter_mut().zip(&last_h) {
-                        *e = (1.0 - EWMA_ALPHA) * *e + EWMA_ALPHA * h;
+                        *e = (1.0 - alpha) * *e + alpha * h;
                     }
                 } else {
                     for ((e, s), &h) in est_prev.iter_mut().zip(&mut est_sum).zip(&last_h) {
@@ -577,77 +573,63 @@ impl SoaFleet {
                 }
             }
 
-            // Stage 1: allocator proposal against the *virtual* battery,
-            // open-loop clamp and virtual charge/spend
-            // (`open_loop_budgets`), one branch-free loop per
-            // `(trace, phase)` group and allocator regime. The engine's
-            // conditionals merge bit-exactly: a zero-harvest charge
-            // stores exactly `+0.0`, and a floor budget divides to
-            // exactly `floor_j / eff_d`, so the unconditional forms
-            // change no bit.
-            macro_rules! step1 {
-                ($u:expr, $base_e:expr, $expected:expr, $cg:expr) => {{
-                    let u = $u;
-                    let h = $base_e * gain[u];
-                    let correction = (vbat[u] - vtarget_j) * $cg;
-                    let proposed = ($expected + correction).max(0.0);
-                    let avail = vbat[u] * eff_d + h;
-                    let budget = proposed.min(avail).max(floor_j.min(avail));
-                    vbat[u] += (h * eff_c).min(cap_j - vbat[u]);
-                    let vdrawn = (budget / eff_d).min(vbat[u]);
-                    vbat[u] -= vdrawn;
-                    last_h[u] = h;
-                    budget_t[u] = budget;
-                }};
-            }
-            // Index loops, not zipped iterators: `step1!` writes six
-            // columns at `u` and per-regime inputs read one more.
-            #[allow(clippy::needless_range_loop)]
+            // Expectation pass: each allocator's `expected` on its
+            // column state. From day two on every EWMA slot is seeded, so
+            // the grant pass reads this hour's slot column directly.
+            let expected: &[f64] = match self.allocator {
+                AllocatorKind::Ewma if i >= 24 => &est[hod * nu..hod * nu + nu],
+                AllocatorKind::Ewma if i == 0 => {
+                    // The discarded first call expects nothing.
+                    exp_t.fill(0.0);
+                    &exp_t
+                }
+                AllocatorKind::Ewma => {
+                    // Unseen slot: mean of the seeded slots (the sum
+                    // accumulates in ascending slot order).
+                    let i_f = i as f64;
+                    for (x, &sum) in exp_t.iter_mut().zip(&est_sum) {
+                        *x = sum / i_f;
+                    }
+                    &exp_t
+                }
+                AllocatorKind::Greedy => {
+                    // Last hour's harvest: copied, because the grant pass
+                    // overwrites `last_h` as it goes.
+                    exp_t.copy_from_slice(&last_h);
+                    &exp_t
+                }
+                AllocatorKind::UniformDaily => {
+                    let divisor = if i >= 23 { 24.0 } else { (i + 1) as f64 };
+                    let windows = win.chunks_exact_mut(24);
+                    for ((x, w), &h) in exp_t.iter_mut().zip(windows).zip(&last_h) {
+                        w[hod] = h;
+                        *x = w.iter().sum::<f64>() / divisor;
+                    }
+                    &exp_t
+                }
+            };
+
+            // Grant pass: the open-loop step against the *virtual*
+            // battery (`open_loop_budgets`), one loop per `(trace,
+            // phase)` group so the base-trace hour is read once per run.
             for g in &groups {
                 let src = (hod as u32 + g.phase) % 24;
                 let base_e = self.traces[g.trace as usize][day * 24 + src as usize];
-                let (lo, hi) = (g.start, g.end);
-                match self.allocator {
-                    AllocatorKind::Ewma if i >= 24 => {
-                        // This hour's slot estimates, hoisted: the slot
-                        // index is fixed across the shard all hour.
-                        let est_cur = &est[hod * nu..hod * nu + nu];
-                        for u in lo..hi {
-                            step1!(u, base_e, est_cur[u], BATTERY_GAIN);
-                        }
-                    }
-                    AllocatorKind::Ewma if i == 0 => {
-                        // The discarded first call expects nothing.
-                        for u in lo..hi {
-                            step1!(u, base_e, 0.0, BATTERY_GAIN);
-                        }
-                    }
-                    AllocatorKind::Ewma => {
-                        // Unseen slot: mean of the seeded slots (the sum
-                        // accumulates in ascending slot order).
-                        let i_f = i as f64;
-                        for u in lo..hi {
-                            step1!(u, base_e, est_sum[u] / i_f, BATTERY_GAIN);
-                        }
-                    }
-                    AllocatorKind::Greedy => {
-                        for u in lo..hi {
-                            step1!(u, base_e, last_h[u], GREEDY_GAIN);
-                        }
-                    }
-                    AllocatorKind::UniformDaily => {
-                        let divisor = if i >= 23 { 24.0 } else { (i + 1) as f64 };
-                        for u in lo..hi {
-                            let w = &mut win[u * 24..u * 24 + 24];
-                            w[hod] = last_h[u];
-                            let daily: f64 = w.iter().sum();
-                            step1!(u, base_e, daily / divisor, BATTERY_GAIN);
-                        }
-                    }
+                let r = g.start..g.end;
+                let users = vbat[r.clone()]
+                    .iter_mut()
+                    .zip(&mut last_h[r.clone()])
+                    .zip(&mut budget_t[r.clone()])
+                    .zip(&gain[r.clone()])
+                    .zip(&expected[r]);
+                for ((((v, last), budget), &tg), &e) in users {
+                    let h = base_e * tg;
+                    *budget = battery.open_loop_step(v, e, battery_gain, h, floor_j);
+                    *last = h;
                 }
             }
 
-            // Stage 2: plan. Most hours land in a constant frontier
+            // Plan pass. Most hours land in a constant frontier
             // regime (floor or saturation) and resolve from the cohort
             // cache; the rest take the full frontier eval (REAP) or the
             // static duty-cycle formula. All three produce the scalar
@@ -726,30 +708,11 @@ impl SoaFleet {
                 PlanKernel::Scalar => unreachable!("checked in run()"),
             }
 
-            // Stage 3: execute — harvest first, then the real battery,
-            // browning out proportionally (`run_with_budgets`). The
-            // engine's charge/deficit branches merge: on a charging hour
-            // the deficit is exactly zero (so the discharge is a no-op)
-            // and vice versa, making the loop branch-free and the
-            // arithmetic bit-identical either way.
+            // Execute pass: harvest first, then the real battery,
+            // browning out proportionally (`run_with_budgets`).
             for u in 0..nu {
                 let h = last_h[u];
-                let pen = pen_t[u];
-                let stored = ((h - pen).max(0.0) * eff_c).min(cap_j - bat[u]);
-                bat[u] += stored;
-                let deficit = (pen - h).max(0.0);
-                let drawn = (deficit / eff_d).min(bat[u]);
-                bat[u] -= drawn;
-                let delivered = drawn * eff_d;
-                let rf = if delivered + BROWNOUT_EPS_J < deficit {
-                    if pen > 0.0 {
-                        ((h + delivered) / pen).clamp(0.0, 1.0)
-                    } else {
-                        1.0
-                    }
-                } else {
-                    1.0
-                };
+                let rf = battery.execute(&mut bat[u], h, pen_t[u]);
                 acc_sum[u] += pacc_t[u] * rf;
                 act_sum[u] += pact_t[u] * rf;
                 brow[u] += u32::from(rf < 1.0);
@@ -774,6 +737,7 @@ impl SoaFleet {
 mod tests {
     use super::*;
     use reap_core::OperatingPoint;
+    use reap_units::Power;
 
     fn base_points() -> Vec<OperatingPoint> {
         vec![

@@ -1,8 +1,8 @@
 //! SoA-vs-scalar equivalence: the data-oriented fleet core
 //! ([`reap_sim::SoaFleet`]) must agree with scalar per-user replay
 //! ([`Fleet::user_scenario`] + the hour-by-hour engine) on every user's
-//! final scalars — accuracy and active time to within 1e-12 (bitwise, in
-//! practice), brownout hours exactly.
+//! final scalars, bit for bit: accuracy, active fraction, brownout hours
+//! and harvested joules.
 //!
 //! Random small fleets cover all four [`SourceKind`]s (the builder
 //! default round-robins them), every allocator, odd shard sizes, and
@@ -94,14 +94,16 @@ fn scalar_outcome(report: &SimReport, days: u32) -> UserOutcome {
 }
 
 fn assert_outcomes_match(soa: &UserOutcome, scalar: &UserOutcome, user: u32) {
-    assert!(
-        (soa.accuracy - scalar.accuracy).abs() <= 1e-12,
+    assert_eq!(
+        soa.accuracy.to_bits(),
+        scalar.accuracy.to_bits(),
         "user {user}: SoA accuracy {} vs scalar {}",
         soa.accuracy,
         scalar.accuracy
     );
-    assert!(
-        (soa.active_fraction - scalar.active_fraction).abs() <= 1e-12,
+    assert_eq!(
+        soa.active_fraction.to_bits(),
+        scalar.active_fraction.to_bits(),
         "user {user}: SoA active fraction {} vs scalar {}",
         soa.active_fraction,
         scalar.active_fraction
@@ -110,9 +112,9 @@ fn assert_outcomes_match(soa: &UserOutcome, scalar: &UserOutcome, user: u32) {
         soa.brownout_hours, scalar.brownout_hours,
         "user {user}: brownout hours diverged"
     );
-    let scale = scalar.harvested_j.abs().max(1.0);
-    assert!(
-        (soa.harvested_j - scalar.harvested_j).abs() <= 1e-9 * scale,
+    assert_eq!(
+        soa.harvested_j.to_bits(),
+        scalar.harvested_j.to_bits(),
         "user {user}: SoA harvested {} J vs scalar {} J",
         soa.harvested_j,
         scalar.harvested_j
