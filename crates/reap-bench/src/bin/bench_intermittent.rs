@@ -136,11 +136,8 @@ fn main() {
             assert_eq!(t, totals, "event core is not deterministic");
         }
     }
-    #[allow(clippy::cast_precision_loss)]
     let events_per_s = totals.events as f64 / (wall_ms / 1e3);
-    #[allow(clippy::cast_precision_loss)]
     let epochs_per_burst = totals.epochs_committed as f64 / totals.bursts.max(1) as f64;
-    #[allow(clippy::cast_precision_loss)]
     let commit_ratio = totals.epochs_committed as f64
         / (totals.epochs_committed + totals.epochs_lost).max(1) as f64;
 

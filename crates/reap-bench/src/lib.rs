@@ -17,7 +17,6 @@
 //! `--char model` (device model + classifiers trained on the synthetic
 //! user study), plus `--quick` to shrink training for smoke runs.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod regression;

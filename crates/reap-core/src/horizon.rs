@@ -343,8 +343,10 @@ fn taut_string(lower: &[f64], upper: &[f64], path: &mut Vec<f64>) {
 }
 
 #[cfg(test)]
-// The trajectory checks walk periods by index, as the model is written.
-#[allow(clippy::needless_range_loop)]
+#[expect(
+    clippy::needless_range_loop,
+    reason = "the trajectory checks walk periods by index, as the model is written"
+)]
 mod tests {
     use super::*;
     use crate::OperatingPoint;

@@ -8,10 +8,6 @@
 //! starvation verdict, the same optimum, and a plan that is feasible in
 //! the LP's own terms.
 
-// Index-based loops below mirror the textbook linear-algebra notation;
-// iterator rewrites would obscure the row/column structure.
-#![allow(clippy::needless_range_loop)]
-
 use proptest::prelude::*;
 use reap_core::{plan_horizon, OperatingPoint, ReapError, ReapProblem};
 use reap_lp::{LpProblem, LpStatus, Relation};

@@ -31,8 +31,8 @@
 //! # let _ = Activity::Walk;
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 
 mod activity;
 mod dataset;

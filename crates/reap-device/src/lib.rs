@@ -36,7 +36,6 @@
 //! assert!((t2[4].total_energy().millijoules() - 1.93).abs() < 1e-12);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod constants;

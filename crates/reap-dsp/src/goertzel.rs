@@ -6,10 +6,6 @@
 //! the classic MCU trick, included here as the substrate for cheap
 //! cadence-tracking design-point variants.
 
-// Index-based loops below mirror the textbook linear-algebra notation;
-// iterator rewrites would obscure the row/column structure.
-#![allow(clippy::needless_range_loop)]
-
 use crate::DspError;
 
 /// Squared magnitude of DFT bin `k` of `signal` (same normalization as
@@ -85,9 +81,9 @@ mod tests {
             })
             .collect();
         let spectrum = fft::fft_real(&signal).unwrap();
-        for k in 0..32 {
+        for (k, bin) in spectrum.iter().take(32).enumerate() {
             let g = goertzel_magnitude(&signal, k).unwrap();
-            let f = spectrum[k].abs();
+            let f = bin.abs();
             // Goertzel's recurrence accumulates O(N) round-off, so compare
             // with a tolerance scaled to the signal energy.
             assert!((g - f).abs() < 1e-5, "bin {k}: goertzel {g} vs fft {f}");

@@ -30,7 +30,6 @@
 //! assert_eq!(peak, 2);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod decimate;

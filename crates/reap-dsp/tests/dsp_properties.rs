@@ -1,7 +1,10 @@
 //! Property tests for the DSP kernels: transform identities that must
 //! hold on arbitrary signals, not just the hand-picked unit-test cases.
 
-#![allow(clippy::needless_range_loop)] // bin indices mirror DFT notation
+#![expect(
+    clippy::needless_range_loop,
+    reason = "bin indices mirror DFT notation"
+)]
 
 use proptest::prelude::*;
 use reap_dsp::fft::{fft_in_place, fft_real, Complex};

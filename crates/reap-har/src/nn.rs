@@ -7,9 +7,10 @@
 //! softmax cross-entropy loss, and momentum SGD is entirely adequate and
 //! mirrors what runs on the MCU.
 
-// Index-based loops below mirror the textbook linear-algebra notation;
-// iterator rewrites would obscure the row/column structure.
-#![allow(clippy::needless_range_loop)]
+#![expect(
+    clippy::needless_range_loop,
+    reason = "index loops mirror the textbook row/column notation"
+)]
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

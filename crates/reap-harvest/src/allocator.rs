@@ -212,10 +212,10 @@ impl BudgetAllocator for UniformDailyAllocator {
         if self.cursor == 0 {
             self.filled = true;
         }
+        #[expect(clippy::cast_precision_loss, reason = "cursor < 24: the cast is exact")]
         let divisor = if self.filled {
             24.0
         } else {
-            // reap-lint: allow(unsafe:float-cast) -- cursor counts absorbed hours, far below 2^53; exact
             self.cursor.max(1) as f64
         };
         let daily: f64 = self.window.iter().sum();

@@ -71,7 +71,6 @@ impl BlackoutOverlay {
                 "blackout fraction {fraction} outside [0, 1]"
             )));
         }
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let window_hours = (fraction * 24.0).round() as u32;
         Ok(Self {
             inner,

@@ -272,7 +272,7 @@ impl OracleForecaster {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
-        // reap-lint: allow(unsafe:float-cast) -- 53-bit mantissa math: both operands fit in 53 bits, conversion exact
+        #[expect(clippy::cast_precision_loss, reason = "both operands fit in 53 bits")]
         let unit = (z >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
         (1.0 + self.rel_error * (2.0 * unit - 1.0)).max(0.0)
     }

@@ -52,8 +52,9 @@
 //! assert!(teg.iter().all(|e| e.joules() > 0.0));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+#![cfg_attr(not(test), deny(clippy::cast_precision_loss, clippy::cast_lossless))]
 
 mod allocator;
 mod battery;

@@ -65,7 +65,7 @@ impl TracePerturbation {
         let a = splitmix64(seed.wrapping_add(0x9E37_79B9_7F4A_7C15));
         let b = splitmix64(seed.wrapping_add(0x3C6E_F372_FE94_F82A));
         // 53 high bits -> uniform in [0, 1).
-        // reap-lint: allow(unsafe:float-cast) -- 53-bit mantissa math: both operands fit in 53 bits, conversion exact
+        #[expect(clippy::cast_precision_loss, reason = "both operands fit in 53 bits")]
         let unit = (a >> 11) as f64 / (1u64 << 53) as f64;
         TracePerturbation {
             gain: GAIN_LO + GAIN_SPAN * unit,

@@ -1,11 +1,12 @@
-//! The committed allowlist budget: a per-rule ceiling on *justified*
-//! (pragma'd) sites, so the number of exemptions can only ratchet down.
+//! The committed allowlist budget: a per-rule-class count of *justified*
+//! sites, which the workspace must match exactly.
 //!
 //! Unjustified violations always fail the lint regardless of budget.
-//! The budget governs the pragmas themselves: adding a new
-//! `allow(...)` pragma without shrinking another fails CI until the
-//! committed budget is deliberately re-ratcheted — growth is a reviewed
-//! decision, never a drive-by.
+//! The budget governs the exceptions themselves: reap-lint's `allow`
+//! pragmas and the `#[expect]`s of the clippy lints it budgets. Adding
+//! one fails until the committed count is deliberately raised in the
+//! same diff, and removing one fails until the count is lowered, so no
+//! slack is left for the next drive-by exception.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -13,10 +14,10 @@ use std::path::Path;
 use crate::diag::Diagnostic;
 use crate::json::{self, Value};
 
-/// Per-rule-class ceilings on allowed (pragma'd) sites.
+/// Per-rule-class counts of allowed sites (pragmas and budgeted `#[expect]`s).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Budget {
-    /// Rule class -> maximum allowed (pragma'd) sites.
+    /// Rule class -> committed number of allowed sites.
     pub per_rule: BTreeMap<String, usize>,
 }
 
@@ -68,18 +69,27 @@ impl Budget {
         tally
     }
 
-    /// Checks the tally against the ceilings. Returns one message per
-    /// over-budget rule (empty = within budget).
+    /// Checks the tally against the committed counts. Returns one message
+    /// per rule class whose count differs (empty = exact match).
     #[must_use]
     pub fn check(&self, diagnostics: &[Diagnostic]) -> Vec<String> {
         let tally = Budget::tally(diagnostics);
+        let mut classes: Vec<&String> = tally.keys().chain(self.per_rule.keys()).collect();
+        classes.sort();
+        classes.dedup();
         let mut failures = Vec::new();
-        for (rule, count) in &tally {
+        for rule in classes {
+            let count = tally.get(rule).copied().unwrap_or(0);
             let ceiling = self.per_rule.get(rule).copied().unwrap_or(0);
-            if *count > ceiling {
+            if count > ceiling {
                 failures.push(format!(
                     "rule {rule}: {count} allowed sites exceed the committed budget of {ceiling} \
-                     (ratchet: remove a pragma or deliberately re-commit the budget)"
+                     (ratchet: remove an exception or deliberately re-commit the budget)"
+                ));
+            } else if count < ceiling {
+                failures.push(format!(
+                    "rule {rule}: {count} allowed sites are below the committed budget of \
+                     {ceiling}; lower it to {count} in reap-lint.budget.json in the same diff"
                 ));
             }
         }
@@ -87,34 +97,18 @@ impl Budget {
     }
 
     /// Serializes the current tally as a fresh budget file (the
-    /// `--write-budget` ratchet).
+    /// `--write-budget` ratchet), one class per line so diffs review
+    /// cleanly.
     #[must_use]
     pub fn render(tally: &BTreeMap<String, usize>) -> String {
-        let budgets: BTreeMap<String, Value> = tally
+        let lines: Vec<String> = tally
             .iter()
-            .map(|(k, v)| (k.clone(), Value::num(*v as f64)))
+            .map(|(k, v)| format!("    {}: {v}", Value::str(k.clone()).encode()))
             .collect();
-        let doc = Value::obj(vec![
-            ("version", Value::num(1.0)),
-            ("budgets", Value::Obj(budgets)),
-        ]);
-        // Pretty-ish: one budget per line so diffs review cleanly.
-        let mut out = String::from("{\n  \"version\": 1,\n  \"budgets\": {\n");
-        let inner = doc.get("budgets");
-        if let Some(Value::Obj(map)) = inner {
-            for (i, (k, v)) in map.iter().enumerate() {
-                out.push_str("    ");
-                out.push_str(&Value::str(k.clone()).encode());
-                out.push_str(": ");
-                out.push_str(&v.encode());
-                if i + 1 < map.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-        }
-        out.push_str("  }\n}\n");
-        out
+        format!(
+            "{{\n  \"version\": 1,\n  \"budgets\": {{\n{}\n  }}\n}}\n",
+            lines.join(",\n")
+        )
     }
 }
 
@@ -142,11 +136,16 @@ mod tests {
         let ds = vec![diag("panic", true), diag("panic", true)];
         assert_eq!(budget.check(&ds).len(), 1);
         // Unknown rule class defaults to a zero ceiling.
-        let ds = vec![diag("determinism", true)];
+        let ds = vec![diag("panic", true), diag("determinism", true)];
         assert_eq!(budget.check(&ds).len(), 1);
-        // Violations (not allowed) don't count against the budget.
-        let ds = vec![diag("panic", false), diag("panic", false)];
+        // Violations (not allowed) are not budgeted sites.
+        let ds = vec![diag("panic", true), diag("panic", false)];
         assert!(budget.check(&ds).is_empty());
+        // Under budget fails too: a removed exception must lower the
+        // committed count in the same diff.
+        let failures = budget.check(&[]);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("lower it to 0"), "{failures:?}");
     }
 
     #[test]

@@ -5,9 +5,11 @@ use crate::json::Value;
 /// One finding at one source line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostic {
-    /// Rule class: `determinism`, `panic`, `locks`, `unsafe`, `pragma`.
+    /// Rule class: `determinism`, `panic`, `locks`, `unsafe`, `scope`,
+    /// `pragma`.
     pub rule: &'static str,
-    /// Specific check within the class (`hash-order`, `unwrap`, ...).
+    /// Specific check within the class (`assert`, `raw-lock`, ...), or
+    /// the lint a budgeted `#[expect]` names.
     pub check: &'static str,
     /// Workspace-relative path.
     pub file: String,
@@ -17,7 +19,7 @@ pub struct Diagnostic {
     pub message: String,
     /// The offending source line, trimmed.
     pub snippet: String,
-    /// `Some(justification)` when a pragma allows the site.
+    /// `Some(justification)` when a pragma or `#[expect]` allows the site.
     pub allowed: Option<String>,
 }
 
@@ -56,44 +58,32 @@ impl Diagnostic {
     ///
     /// A message naming the missing or mistyped field.
     pub fn from_json(v: &Value) -> Result<Diagnostic, String> {
-        let rule_s = v
-            .get("rule")
-            .and_then(Value::as_str)
-            .ok_or("missing rule")?;
-        let check_s = v
-            .get("check")
-            .and_then(Value::as_str)
-            .ok_or("missing check")?;
+        let field = |key: &str| {
+            v.get(key)
+                .and_then(Value::as_str)
+                .ok_or_else(|| format!("missing {key}"))
+        };
+        let (rule_s, check_s) = (field("rule")?, field("check")?);
         let rule = crate::rules::RULE_IDS
             .iter()
             .find(|r| **r == rule_s)
             .ok_or_else(|| format!("unknown rule {rule_s}"))?;
         let check = crate::rules::CHECK_IDS
             .iter()
-            .find(|c| **c == check_s)
+            .copied()
+            .find(|c| *c == check_s)
+            .or_else(|| crate::rules::budgeted(check_s).map(|(_, lint)| lint))
             .ok_or_else(|| format!("unknown check {check_s}"))?;
         Ok(Diagnostic {
             rule,
             check,
-            file: v
-                .get("file")
-                .and_then(Value::as_str)
-                .ok_or("missing file")?
-                .to_string(),
+            file: field("file")?.to_string(),
             line: v
                 .get("line")
                 .and_then(Value::as_f64)
                 .ok_or("missing line")? as usize,
-            message: v
-                .get("message")
-                .and_then(Value::as_str)
-                .ok_or("missing message")?
-                .to_string(),
-            snippet: v
-                .get("snippet")
-                .and_then(Value::as_str)
-                .ok_or("missing snippet")?
-                .to_string(),
+            message: field("message")?.to_string(),
+            snippet: field("snippet")?.to_string(),
             allowed: match v.get("allowed") {
                 None | Some(Value::Null) => None,
                 Some(Value::Str(s)) => Some(s.clone()),

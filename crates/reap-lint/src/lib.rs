@@ -1,37 +1,30 @@
-//! # reap-lint — workspace invariant linter
+//! # reap-lint — the checks clippy cannot make
 //!
 //! The repo's headline guarantees (REAP-vs-optimal pinning,
 //! byte-identical snapshots across SIGKILL, SoA-vs-scalar
-//! bit-equivalence, the intermittent crash drills) all rest on two
-//! properties the differential test suites can only check *after* a
-//! violation ships: determinism of every state-bearing path, and
-//! panic-freedom of the serving hot path. `reap-lint` makes both (plus
-//! lock discipline and an unsafe/float audit) static, repo-specific,
-//! compile-time-adjacent properties: a token/line-level analyzer with
-//! machine-readable JSON diagnostics, per-site justification pragmas,
-//! and a committed allowlist budget that can only ratchet down.
-//!
-//! Run it locally with `cargo run -p reap-lint` (add `--format json`
-//! for the CI artifact form). Rule classes:
+//! bit-equivalence) rest on deterministic state and a panic-free serving
+//! path. Clippy enforces most of that, scope by scope; `reap-lint` is a
+//! token/line-level analyzer with machine-readable JSON diagnostics for
+//! the rest:
 //!
 //! | rule | scope | what it rejects |
 //! |------|-------|-----------------|
-//! | `determinism` | state-bearing crates | wall clocks, hash-order iteration, ambient RNG, env reads |
-//! | `panic` | `reap-serve` | `unwrap`/`expect`, panic macros, release asserts, unguarded indexing |
+//! | `scope` | the scope table in [`Config`] | a scope file that no longer denies its clippy lints, a manifest without the workspace lints, a module-wide `#![expect]` |
+//! | `panic` | `reap-serve` | release `assert!`s (`debug_assert!` is exempt) |
 //! | `locks` | `reap-serve` | raw mutexes, unlabeled acquisitions, rank inversions, lock-graph cycles |
-//! | `unsafe` | workspace / ledger crates | unjustified `unsafe`, unjustified `as f64`/`as f32` |
+//! | `unsafe` | the cast scope | unjustified `as f32` |
 //!
-//! Suppression is per-site and must be argued:
+//! Run it with `cargo run -p reap-lint` (add `--format json` for the CI
+//! artifact). Its own exceptions are argued per-site pragmas:
 //!
 //! ```text
-//! // reap-lint: allow(panic:index) -- `shards` is non-empty by construction (asserted in new)
+//! // reap-lint: allow(locks:raw-lock) -- the wrapper the discipline is built on
 //! ```
 //!
-//! The committed `reap-lint.budget.json` caps the number of allowed
-//! sites per rule class; a new pragma that pushes a class over its
-//! ceiling fails the lint until the budget is deliberately re-committed.
+//! The committed `reap-lint.budget.json` holds the number of exceptions
+//! per rule class — these pragmas plus the `#[expect(lint, reason)]`s of
+//! the budgeted clippy lints — and the workspace must match it exactly.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod budget;
@@ -52,11 +45,10 @@ use source::SourceFile;
 /// A completed lint run.
 #[derive(Debug)]
 pub struct Report {
-    /// Workspace root the paths are relative to.
-    pub root: PathBuf,
     /// Files scanned.
     pub files_scanned: usize,
-    /// Every finding, allowed or not, sorted by (file, line).
+    /// Every finding, allowed or not, sorted by (file, line); manifest
+    /// findings come last.
     pub diagnostics: Vec<Diagnostic>,
 }
 
@@ -153,99 +145,77 @@ impl Report {
     }
 }
 
-/// Lints every workspace source under `root` with `cfg`.
+/// Lints every workspace source under `root` with `cfg`, and checks
+/// that every member manifest inherits the workspace lints.
 ///
 /// # Errors
 ///
 /// I/O failures walking or reading sources.
 pub fn lint_workspace(root: &Path, cfg: &Config) -> Result<Report, String> {
     let files = collect_sources(root)?;
-    Ok(lint_files(root, files, cfg))
+    let mut report = lint_files(files, cfg);
+    rules::scope::check_manifests(root, &mut report.diagnostics)?;
+    Ok(report)
 }
 
 /// Lints an explicit file set (the fixture tests' entry point).
 #[must_use]
-pub fn lint_files(root: &Path, files: Vec<SourceFile>, cfg: &Config) -> Report {
+pub fn lint_files(files: Vec<SourceFile>, cfg: &Config) -> Report {
     let diagnostics = rules::run_all(&files, cfg);
     Report {
-        root: root.to_path_buf(),
         files_scanned: files.len(),
         diagnostics,
     }
 }
 
-/// Walks the workspace source roots: `crates/*/{src,tests,benches,examples}`,
-/// the facade `src/`, top-level `tests/` and `examples/`. `vendor/` (the
-/// offline dependency shims) and `target/` are never scanned. Files
-/// under any `tests/` or `benches/` directory are wholly test-scoped.
+/// Walks the workspace sources: `crates/*/{src,tests,benches,examples}`,
+/// the facade `src/`, top-level `tests/` and `examples/`. `vendor/` (the offline
+/// dependency shims) and `target/` are never scanned. Files under any
+/// `tests/` or `benches/` directory are wholly test-scoped.
 fn collect_sources(root: &Path) -> Result<Vec<SourceFile>, String> {
+    let mut dirs = vec![(root.join("src"), "reap".to_string())];
+    for top in ["tests", "examples"] {
+        dirs.push((root.join(top), top.to_string()));
+    }
+    for krate in read_sorted(&root.join("crates"))? {
+        let name = krate.file_name().map(|n| n.to_string_lossy().into_owned());
+        for sub in ["src", "tests", "benches", "examples"] {
+            dirs.push((krate.join(sub), name.clone().unwrap_or_default()));
+        }
+    }
     let mut files = Vec::new();
-    let crates_dir = root.join("crates");
-    let mut crate_dirs: Vec<PathBuf> = Vec::new();
-    if crates_dir.is_dir() {
-        for entry in std::fs::read_dir(&crates_dir)
-            .map_err(|e| format!("reading {}: {e}", crates_dir.display()))?
-        {
-            let entry = entry.map_err(|e| e.to_string())?;
-            if entry.path().is_dir() {
-                crate_dirs.push(entry.path());
-            }
-        }
+    for (dir, crate_name) in dirs {
+        walk_rs(root, &dir, &crate_name, &mut files)?;
     }
-    crate_dirs.sort();
-    for crate_dir in crate_dirs {
-        let crate_name = crate_dir
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        for (sub, all_test) in [
-            ("src", false),
-            ("tests", true),
-            ("benches", true),
-            ("examples", false),
-        ] {
-            walk_rs(
-                root,
-                &crate_dir.join(sub),
-                &crate_name,
-                all_test,
-                &mut files,
-            )?;
-        }
-    }
-    walk_rs(root, &root.join("src"), "reap", false, &mut files)?;
-    walk_rs(root, &root.join("tests"), "tests", true, &mut files)?;
-    walk_rs(root, &root.join("examples"), "examples", false, &mut files)?;
     Ok(files)
+}
+
+/// The entries of `dir`, sorted; none if it is not a directory.
+pub(crate) fn read_sorted(dir: &Path) -> Result<Vec<PathBuf>, String> {
+    if !dir.is_dir() {
+        return Ok(Vec::new());
+    }
+    let entries = std::fs::read_dir(dir).map_err(|e| format!("reading {}: {e}", dir.display()))?;
+    let mut paths: Vec<PathBuf> = entries.filter_map(Result::ok).map(|e| e.path()).collect();
+    paths.sort();
+    Ok(paths)
 }
 
 fn walk_rs(
     root: &Path,
     dir: &Path,
     crate_name: &str,
-    all_test: bool,
     out: &mut Vec<SourceFile>,
 ) -> Result<(), String> {
-    if !dir.is_dir() {
-        return Ok(());
-    }
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| format!("reading {}: {e}", dir.display()))?
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .collect();
-    entries.sort();
-    for path in entries {
+    for path in read_sorted(dir)? {
         if path.is_dir() {
-            walk_rs(root, &path, crate_name, all_test, out)?;
+            walk_rs(root, &path, crate_name, out)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
             let text = std::fs::read_to_string(&path)
                 .map_err(|e| format!("reading {}: {e}", path.display()))?;
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .to_string_lossy()
-                .replace('\\', "/");
+            let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy();
+            let rel = rel.replace('\\', "/");
+            let all_test = rel.split('/').any(|c| c == "tests" || c == "benches");
             out.push(SourceFile::parse(
                 rel,
                 crate_name.to_string(),

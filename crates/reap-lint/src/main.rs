@@ -1,56 +1,38 @@
-//! The `reap-lint` CLI: lint the workspace, enforce the pragma budget,
-//! print text or JSON, exit nonzero on any unjustified violation.
+//! The `reap-lint` CLI: lint the workspace it is run in, enforce the
+//! budget, print text or JSON, exit nonzero on any unjustified violation
+//! or budget mismatch.
 //!
 //! ```text
-//! reap-lint [--root DIR] [--format text|json] [--budget FILE]
-//!           [--no-budget] [--write-budget]
+//! reap-lint [--format text|json] [--write-budget]
 //! ```
 //!
-//! Exit codes: 0 clean, 1 violations or budget breach, 2 usage/IO error.
+//! Exit codes: 0 clean, 1 violations or budget mismatch, 2 usage/IO error.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use reap_lint::{find_workspace_root, lint_workspace, Budget, Config};
 
 struct Args {
-    root: Option<PathBuf>,
     format_json: bool,
-    budget_path: Option<PathBuf>,
-    use_budget: bool,
     write_budget: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        root: None,
         format_json: false,
-        budget_path: None,
-        use_budget: true,
         write_budget: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--root" => {
-                args.root = Some(PathBuf::from(it.next().ok_or("--root needs a directory")?));
-            }
             "--format" => match it.next().as_deref() {
                 Some("json") => args.format_json = true,
                 Some("text") => args.format_json = false,
                 other => return Err(format!("--format text|json, got {other:?}")),
             },
-            "--budget" => {
-                args.budget_path = Some(PathBuf::from(it.next().ok_or("--budget needs a file")?));
-            }
-            "--no-budget" => args.use_budget = false,
             "--write-budget" => args.write_budget = true,
             "--help" | "-h" => {
-                return Err(
-                    "usage: reap-lint [--root DIR] [--format text|json] [--budget FILE] \
-                     [--no-budget] [--write-budget]"
-                        .to_string(),
-                );
+                return Err("usage: reap-lint [--format text|json] [--write-budget]".to_string());
             }
             other => return Err(format!("unknown argument {other:?}")),
         }
@@ -66,16 +48,12 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let root = match args.root.or_else(|| {
-        std::env::current_dir()
-            .ok()
-            .and_then(|d| find_workspace_root(&d))
-    }) {
-        Some(r) => r,
-        None => {
-            eprintln!("reap-lint: no workspace root found (pass --root)");
-            return ExitCode::from(2);
-        }
+    let Some(root) = std::env::current_dir()
+        .ok()
+        .and_then(|d| find_workspace_root(&d))
+    else {
+        eprintln!("reap-lint: no workspace root found above the current directory");
+        return ExitCode::from(2);
     };
 
     let report = match lint_workspace(&root, &Config::repo_default()) {
@@ -86,9 +64,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let budget_path = args
-        .budget_path
-        .unwrap_or_else(|| root.join("reap-lint.budget.json"));
+    let budget_path = root.join("reap-lint.budget.json");
 
     if args.write_budget {
         let tally = Budget::tally(&report.diagnostics);
@@ -100,16 +76,12 @@ fn main() -> ExitCode {
         eprintln!("reap-lint: wrote {}", budget_path.display());
     }
 
-    let budget_failures = if args.use_budget {
-        match Budget::load(&budget_path) {
-            Ok(b) => b.check(&report.diagnostics),
-            Err(e) => {
-                eprintln!("reap-lint: {e} (run with --write-budget to create it)");
-                return ExitCode::from(2);
-            }
+    let budget_failures = match Budget::load(&budget_path) {
+        Ok(b) => b.check(&report.diagnostics),
+        Err(e) => {
+            eprintln!("reap-lint: {e} (run with --write-budget to create it)");
+            return ExitCode::from(2);
         }
-    } else {
-        Vec::new()
     };
 
     // A closed pipe (`reap-lint | head`) is not a lint failure: ignore

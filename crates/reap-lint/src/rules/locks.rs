@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use crate::diag::Diagnostic;
 use crate::source::{word_occurrences, PragmaKind, SourceFile};
 
-use super::{emit, in_scope, Config};
+use super::{emit, Config};
 
 /// One nesting edge: `to` acquired while `from` is held.
 #[derive(Debug)]
@@ -44,7 +44,7 @@ pub fn check(files: &[SourceFile], cfg: &Config, out: &mut Vec<Diagnostic>) {
     // Pass 1: the rank table (and raw-lock findings).
     let mut ranks: BTreeMap<String, u32> = BTreeMap::new();
     for file in files {
-        if !in_scope(file, &cfg.locks_crates, &[]) {
+        if !cfg.locks_crates.contains(&file.crate_name) {
             continue;
         }
         for p in &file.pragmas {
@@ -88,7 +88,7 @@ pub fn check(files: &[SourceFile], cfg: &Config, out: &mut Vec<Diagnostic>) {
     // Pass 2: acquisition sites and the lexical guard-liveness walk.
     let mut edges: Vec<Edge> = Vec::new();
     for (file_idx, file) in files.iter().enumerate() {
-        if !in_scope(file, &cfg.locks_crates, &[]) {
+        if !cfg.locks_crates.contains(&file.crate_name) {
             continue;
         }
         // Live guards: (lock name, depth the binding lives at).

@@ -114,8 +114,8 @@ impl SourceFile {
     #[must_use]
     pub fn parse(path: String, crate_name: String, text: &str, all_test: bool) -> SourceFile {
         let (masked, comments) = mask(text);
-        let raw_lines: Vec<&str> = split_keep_empty(text);
-        let masked_lines: Vec<&str> = split_keep_empty(&masked);
+        let raw_lines: Vec<&str> = text.lines().collect();
+        let masked_lines: Vec<&str> = masked.lines().collect();
         debug_assert_eq!(raw_lines.len(), masked_lines.len());
 
         let test_flags = test_regions(&masked_lines);
@@ -147,6 +147,15 @@ impl SourceFile {
         }
     }
 
+    /// The trimmed source text of 1-based `line`.
+    #[must_use]
+    pub fn snippet(&self, line: usize) -> String {
+        self.lines
+            .get(line.wrapping_sub(1))
+            .map(|l| l.raw.trim().to_string())
+            .unwrap_or_default()
+    }
+
     /// `allow` pragmas targeting 1-based `line` that cover `rule` (or
     /// `rule:check`).
     pub fn allows_for(&self, line: usize, rule: &str, check: &str) -> Option<&Pragma> {
@@ -161,13 +170,6 @@ impl SourceFile {
                 }
         })
     }
-}
-
-/// Splits on `\n` without dropping a trailing empty segment mismatch
-/// (`str::lines` semantics are fine for us; we just need raw/masked to
-/// agree, which they do since masking preserves newlines).
-fn split_keep_empty(text: &str) -> Vec<&str> {
-    text.lines().collect()
 }
 
 /// One extracted `//` comment: its 1-based line and text after `//`.

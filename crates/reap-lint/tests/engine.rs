@@ -1,27 +1,40 @@
-//! Engine tests: one clean and one dirty fixture per rule class, pragma
-//! suppression, the unused/invalid pragma meta-rule, the budget ratchet,
-//! and a JSON schema round-trip of a real report.
+//! Engine tests: clean and dirty fixtures for reap-lint's own rules
+//! (the `assert` half of panic, the lock graph, the `as f32` audit and
+//! the scope table), pragma suppression, the unused/invalid pragma
+//! meta-rule, the budget ratchet over pragmas and `#[expect]`s, and a
+//! JSON schema round-trip of a real report. The checks that moved to
+//! clippy are pinned by `clippy_fixtures.rs`.
 //!
 //! Fixtures are inline Rust sources parsed through the same
 //! [`SourceFile::parse`] path the workspace walk uses; the scope config
-//! puts them all in a crate named `fix`.
-
-use std::path::Path;
+//! puts them all in a crate named `fix`, whose root carries every scope
+//! attribute.
 
 use reap_lint::json::{parse, Value};
+use reap_lint::rules::{Scope, CAST_LINTS, DETERMINISM_LINTS, PANIC_LINTS};
 use reap_lint::source::SourceFile;
 use reap_lint::{lint_files, Budget, Config, Diagnostic};
 
+const ROOT: &str = "crates/fix/src/lib.rs";
+
 /// A config scoping every rule to the fixture crate `fix`.
 fn fix_config() -> Config {
+    let scope = |lints| Scope {
+        lints,
+        files: &[ROOT],
+    };
     Config {
-        determinism_crates: vec!["fix".into()],
-        determinism_files: Vec::new(),
-        panic_crates: vec!["fix".into()],
+        determinism: scope(DETERMINISM_LINTS),
+        panic: scope(PANIC_LINTS),
+        casts: scope(CAST_LINTS),
         locks_crates: vec!["fix".into()],
-        float_crates: vec!["fix".into()],
-        float_files: Vec::new(),
     }
+}
+
+/// The fixture crate root, carrying the attributes of `scopes`.
+fn root(scopes: &[&Scope]) -> SourceFile {
+    let attrs: Vec<String> = scopes.iter().map(|s| s.attribute()).collect();
+    SourceFile::parse(ROOT.into(), "fix".into(), &attrs.join("\n"), false)
 }
 
 fn fixture(name: &str, text: &str) -> SourceFile {
@@ -33,8 +46,11 @@ fn fixture(name: &str, text: &str) -> SourceFile {
     )
 }
 
-fn lint(files: Vec<SourceFile>) -> Vec<Diagnostic> {
-    lint_files(Path::new("/fixture"), files, &fix_config()).diagnostics
+/// Lints `files` plus a fully scoped crate root.
+fn lint(mut files: Vec<SourceFile>) -> Vec<Diagnostic> {
+    let cfg = fix_config();
+    files.push(root(&cfg.scopes()));
+    lint_files(files, &cfg).diagnostics
 }
 
 fn violations(diags: &[Diagnostic]) -> Vec<(&'static str, &'static str, usize)> {
@@ -43,66 +59,6 @@ fn violations(diags: &[Diagnostic]) -> Vec<(&'static str, &'static str, usize)> 
         .filter(|d| d.is_violation())
         .map(|d| (d.rule, d.check, d.line))
         .collect()
-}
-
-// ---------------------------------------------------------------- rule D
-
-#[test]
-fn determinism_dirty_fixture_flags_every_check() {
-    let diags = lint(vec![fixture(
-        "det_dirty",
-        r#"
-use std::collections::HashMap;
-fn state() {
-    let t = std::time::SystemTime::now();
-    let mut rng = thread_rng();
-    let home = std::env::var("HOME");
-}
-"#,
-    )]);
-    let v = violations(&diags);
-    assert!(v.contains(&("determinism", "hash-order", 2)), "{v:?}");
-    assert!(v.contains(&("determinism", "wall-clock", 4)), "{v:?}");
-    assert!(v.contains(&("determinism", "rng", 5)), "{v:?}");
-    assert!(v.contains(&("determinism", "env", 6)), "{v:?}");
-}
-
-#[test]
-fn determinism_clean_fixture_passes() {
-    let diags = lint(vec![fixture(
-        "det_clean",
-        r#"
-use std::collections::BTreeMap;
-fn state(seed: u64) -> BTreeMap<u64, u64> {
-    // A comment naming HashMap is not code; neither is "SystemTime".
-    let s = "SystemTime::now()";
-    let mut m = BTreeMap::new();
-    m.insert(seed, seed);
-    m
-}
-"#,
-    )]);
-    assert!(violations(&diags).is_empty(), "{:?}", violations(&diags));
-}
-
-#[test]
-fn determinism_ignores_test_code() {
-    let diags = lint(vec![fixture(
-        "det_test",
-        r#"
-fn prod() {}
-#[cfg(test)]
-mod tests {
-    use std::collections::HashMap;
-    #[test]
-    fn uses_ambient_time() {
-        let _ = std::time::Instant::now();
-        let _: HashMap<u8, u8> = HashMap::new();
-    }
-}
-"#,
-    )]);
-    assert!(violations(&diags).is_empty(), "{:?}", violations(&diags));
 }
 
 // ---------------------------------------------------------------- rule P
@@ -123,12 +79,9 @@ fn handler(xs: &[u8], user: usize) -> u8 {
 }
 "#,
     )]);
+    // unwrap, expect, panic! and indexing are clippy's (clippy_fixtures.rs).
     let v = violations(&diags);
-    assert!(v.contains(&("panic", "unwrap", 3)), "{v:?}");
-    assert!(v.contains(&("panic", "expect", 4)), "{v:?}");
-    assert!(v.contains(&("panic", "assert", 5)), "{v:?}");
-    assert!(v.contains(&("panic", "panic-macro", 7)), "{v:?}");
-    assert!(v.contains(&("panic", "index", 9)), "{v:?}");
+    assert_eq!(v, vec![("panic", "assert", 5)], "{v:?}");
 }
 
 #[test]
@@ -272,6 +225,8 @@ fn sequential(gate: &Wrapped, table: &Wrapped) {
 
 #[test]
 fn unsafe_and_float_dirty_fixture() {
+    // `unsafe` and `as f64` are clippy's (clippy_fixtures.rs); reap-lint
+    // keeps `as f32`.
     let diags = lint(vec![fixture(
         "unsafe_dirty",
         r#"
@@ -279,11 +234,13 @@ fn raw(p: *const u8, n: u64) -> f64 {
     let _ = unsafe { *p };
     n as f64
 }
+fn narrow(x: f64) -> f32 {
+    x as f32
+}
 "#,
     )]);
     let v = violations(&diags);
-    assert!(v.contains(&("unsafe", "unsafe-block", 3)), "{v:?}");
-    assert!(v.contains(&("unsafe", "float-cast", 4)), "{v:?}");
+    assert_eq!(v, vec![("unsafe", "float-cast", 7)], "{v:?}");
 }
 
 #[test]
@@ -300,6 +257,56 @@ fn widen(n: u32) -> f64 {
     assert!(violations(&diags).is_empty(), "{:?}", violations(&diags));
 }
 
+// --------------------------------------------------------------- scope
+
+#[test]
+fn scope_file_without_its_attribute_fails() {
+    let cfg = fix_config();
+    let partial = lint_files(vec![root(&[&cfg.determinism])], &cfg);
+    let v = violations(&partial.diagnostics);
+    assert_eq!(
+        v,
+        vec![("scope", "missing-deny", 1), ("scope", "missing-deny", 1)],
+        "{v:?}"
+    );
+    let missing = lint_files(Vec::new(), &cfg);
+    assert_eq!(violations(&missing.diagnostics).len(), 3);
+}
+
+#[test]
+fn rustfmt_wrapped_scope_attribute_counts() {
+    let cfg = fix_config();
+    let wrapped = cfg
+        .scopes()
+        .iter()
+        .map(|s| {
+            s.attribute()
+                .replace(", ", ",\n    ")
+                .replace("(not", "(\n    not")
+        })
+        .collect::<Vec<_>>()
+        .join("\n");
+    let file = SourceFile::parse(ROOT.into(), "fix".into(), &wrapped, false);
+    let diags = lint_files(vec![file], &cfg).diagnostics;
+    assert!(violations(&diags).is_empty(), "{:?}", violations(&diags));
+}
+
+#[test]
+fn inner_expect_of_a_budgeted_lint_fails() {
+    let diags = lint(vec![fixture(
+        "inner_expect",
+        r#"
+#![expect(clippy::indexing_slicing, reason = "exempts the whole module")]
+#![expect(clippy::needless_range_loop, reason = "not a budgeted lint")]
+fn f(xs: &[u8]) -> u8 {
+    xs[0]
+}
+"#,
+    )]);
+    let v = violations(&diags);
+    assert_eq!(v, vec![("scope", "inner-expect", 2)], "{v:?}");
+}
+
 // ------------------------------------------------------------- pragmas
 
 #[test]
@@ -308,18 +315,19 @@ fn allow_pragma_suppresses_and_records_justification() {
         "pragma_ok",
         r#"
 fn checked(xs: &[u8], i: usize) -> u8 {
-    // reap-lint: allow(panic:index) -- i is taken modulo xs.len() by every caller
-    xs[i % xs.len()]
+    // reap-lint: allow(panic:assert) -- a bad index is a caller bug worth a crash in release
+    assert!(i < xs.len());
+    xs.get(i).copied().unwrap_or(0)
 }
 "#,
     )]);
     assert!(violations(&diags).is_empty(), "{:?}", violations(&diags));
     let allowed: Vec<_> = diags.iter().filter(|d| !d.is_violation()).collect();
     assert_eq!(allowed.len(), 1);
-    assert_eq!(allowed[0].check, "index");
+    assert_eq!(allowed[0].check, "assert");
     assert_eq!(
         allowed[0].allowed.as_deref(),
-        Some("i is taken modulo xs.len() by every caller")
+        Some("a bad index is a caller bug worth a crash in release")
     );
 }
 
@@ -330,7 +338,7 @@ fn whole_rule_allow_covers_every_check_of_the_class() {
         r#"
 fn boom() {
     // reap-lint: allow(panic) -- fixture exercising class-wide allow
-    let _ = Some(1).unwrap();
+    assert_eq!(1, 1);
 }
 "#,
     )]);
@@ -342,8 +350,8 @@ fn trailing_pragma_targets_its_own_line() {
     let diags = lint(vec![fixture(
         "pragma_trailing",
         r#"
-fn f(xs: &[u8]) -> u8 {
-    xs[0] // reap-lint: allow(panic:index) -- fixture: first byte is guaranteed by framing
+fn f(xs: &[u8]) {
+    assert!(!xs.is_empty()); // reap-lint: allow(panic:assert) -- fixture: framing guarantees a byte
 }
 "#,
     )]);
@@ -356,7 +364,7 @@ fn unused_pragma_is_itself_a_violation() {
         "pragma_unused",
         r#"
 fn fine() {
-    // reap-lint: allow(panic:unwrap) -- nothing here unwraps anymore
+    // reap-lint: allow(panic:assert) -- nothing here asserts anymore
     let x = 1 + 1;
     let _ = x;
 }
@@ -372,38 +380,58 @@ fn pragma_without_justification_is_invalid() {
         "pragma_bare",
         r#"
 fn f() {
-    // reap-lint: allow(panic:unwrap)
-    let _ = Some(1).unwrap();
+    // reap-lint: allow(panic:assert)
+    assert!(true);
 }
 "#,
     )]);
     let v = violations(&diags);
     assert!(v.contains(&("pragma", "invalid", 3)), "{v:?}");
     // And the unjustified pragma does NOT suppress the finding.
-    assert!(v.contains(&("panic", "unwrap", 4)), "{v:?}");
+    assert!(v.contains(&("panic", "assert", 4)), "{v:?}");
 }
 
 // ------------------------------------------------------------- budget
 
 #[test]
-fn budget_ratchet_fails_on_growth_only() {
+fn budget_counts_expects_and_pragmas_exactly() {
     let diags = lint(vec![fixture(
         "budget_fix",
         r#"
 fn f(xs: &[u8]) -> u8 {
-    // reap-lint: allow(panic:index) -- fixture
-    xs[0]
+    // reap-lint: allow(panic:assert) -- fixture
+    assert!(!xs.is_empty());
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "fixture: checked, on the line above"
+    )]
+    let first = xs[0];
+    #[expect(clippy::needless_range_loop, reason = "not budgeted")]
+    for i in 0..1 {
+        let _ = i;
+    }
+    first
 }
 "#,
     )]);
-    let at_ceiling = Budget::parse(r#"{"version":1,"budgets":{"panic":1}}"#).unwrap();
-    assert!(at_ceiling.check(&diags).is_empty());
-    let above = Budget::parse(r#"{"version":1,"budgets":{"panic":5}}"#).unwrap();
-    assert!(above.check(&diags).is_empty(), "under ceiling is fine");
-    let below = Budget::parse(r#"{"version":1,"budgets":{"panic":0}}"#).unwrap();
-    let failures = below.check(&diags);
+    let allowed: Vec<_> = diags.iter().filter(|d| !d.is_violation()).collect();
+    assert_eq!(allowed.len(), 2, "{allowed:?}");
+    assert_eq!(allowed[1].check, "clippy::indexing_slicing");
+    assert_eq!(allowed[1].line, 5);
+    assert_eq!(
+        allowed[1].allowed.as_deref(),
+        Some("fixture: checked, on the line above")
+    );
+    let exact = Budget::parse(r#"{"version":1,"budgets":{"panic":2}}"#).unwrap();
+    assert!(exact.check(&diags).is_empty());
+    let over = Budget::parse(r#"{"version":1,"budgets":{"panic":1}}"#).unwrap();
+    let failures = over.check(&diags);
     assert_eq!(failures.len(), 1, "{failures:?}");
-    assert!(failures[0].contains("panic"), "{failures:?}");
+    assert!(failures[0].contains("exceed"), "{failures:?}");
+    let under = Budget::parse(r#"{"version":1,"budgets":{"panic":3}}"#).unwrap();
+    let failures = under.check(&diags);
+    assert_eq!(failures.len(), 1, "{failures:?}");
+    assert!(failures[0].contains("lower it to 2"), "{failures:?}");
     // A rule class absent from the budget has ceiling zero.
     let empty = Budget::parse(r#"{"version":1,"budgets":{}}"#).unwrap();
     assert_eq!(empty.check(&diags).len(), 1);
@@ -413,20 +441,23 @@ fn f(xs: &[u8]) -> u8 {
 
 #[test]
 fn report_json_schema_round_trips() {
+    let cfg = fix_config();
     let report = lint_files(
-        Path::new("/fixture"),
-        vec![fixture(
-            "roundtrip",
-            r#"
+        vec![
+            root(&cfg.scopes()),
+            fixture(
+                "roundtrip",
+                r#"
 fn f(xs: &[u8]) -> u8 {
-    // reap-lint: allow(panic:index) -- fixture justification
+    #[expect(clippy::indexing_slicing, reason = "fixture justification")]
     let a = xs[0];
-    let b = xs.last().unwrap();
-    a + b
+    assert!(a > 0);
+    a
 }
 "#,
-        )],
-        &fix_config(),
+            ),
+        ],
+        &cfg,
     );
     assert_eq!(report.violations().len(), 1);
     assert_eq!(report.allowed().len(), 1);
@@ -436,7 +467,7 @@ fn f(xs: &[u8]) -> u8 {
     assert_eq!(parsed.get("version").and_then(Value::as_f64), Some(1.0));
     assert_eq!(
         parsed.get("files_scanned").and_then(Value::as_f64),
-        Some(1.0)
+        Some(2.0)
     );
 
     for key in ["violations", "allowed"] {

@@ -1,9 +1,10 @@
 //! The linter's own acceptance gate, run as a test: the real workspace
-//! must lint clean under the committed scope and stay within the
-//! committed pragma budget. This is the same check CI runs via
+//! must lint clean under the committed scope and match the committed
+//! budget exactly. This is the same check CI runs via
 //! `cargo run -p reap-lint`; having it in `cargo test` means a patch
-//! that introduces an unjustified `unwrap()` or a lock-rank inversion
-//! fails the ordinary test suite too, not just the lint job.
+//! that deletes a scope attribute, adds an unbudgeted `#[expect]` or
+//! introduces a lock-rank inversion fails the ordinary test suite too,
+//! not just the lint job.
 
 use reap_lint::{find_workspace_root, lint_workspace, Budget, Config};
 
@@ -40,7 +41,7 @@ fn workspace_stays_within_the_committed_budget() {
     let failures = budget.check(&report.diagnostics);
     assert!(
         failures.is_empty(),
-        "pragma budget exceeded (the ratchet only goes down):\n{}",
+        "budget mismatch (commit the exact count of exceptions):\n{}",
         failures.join("\n")
     );
 }

@@ -11,9 +11,10 @@
 //! perfectly fine for the tiny randomized problems used to property-test the
 //! simplex in [`crate::LpProblem::solve`]. Keep `n + m` below ~16.
 
-// Index-based loops below mirror the textbook linear-algebra notation;
-// iterator rewrites would obscure the row/column structure.
-#![allow(clippy::needless_range_loop)]
+#![expect(
+    clippy::needless_range_loop,
+    reason = "index loops mirror the textbook row/column notation"
+)]
 
 use crate::problem::{LpProblem, Relation};
 

@@ -6,9 +6,10 @@
 //! the minimum ratio test, pivots, and stops when the cost row has no
 //! positive entry.
 
-// Index-based loops below mirror the textbook linear-algebra notation;
-// iterator rewrites would obscure the row/column structure.
-#![allow(clippy::needless_range_loop)]
+#![expect(
+    clippy::needless_range_loop,
+    reason = "index loops mirror the textbook row/column notation"
+)]
 
 use crate::error::LpError;
 use crate::problem::{Direction, LpProblem, Relation};

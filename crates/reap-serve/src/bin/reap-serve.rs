@@ -26,6 +26,11 @@
 //! skipping torn or corrupt files — after a SIGKILL, restarting with the
 //! same flags plus `--resume` lands on the last durable checkpoint.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -57,7 +62,9 @@ mod sigint {
 
     /// Installs the handler for SIGINT (2).
     pub fn install() {
-        // reap-lint: allow(unsafe:unsafe-block) -- libc signal(2) FFI; the handler only stores an AtomicBool, which is async-signal-safe
+        // SAFETY: `on_sigint` only stores to an AtomicBool, which is
+        // async-signal-safe, and `signal` takes no pointers we own.
+        #[expect(unsafe_code, reason = "no libc crate wraps signal(2) offline")]
         unsafe {
             signal(2, on_sigint);
         }

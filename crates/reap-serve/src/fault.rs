@@ -274,9 +274,9 @@ impl<S: Read> Read for ChaosStream<S> {
                 std::thread::sleep(Duration::from_millis(ms));
                 self.inner.read(buf)
             }
+            #[expect(clippy::indexing_slicing, reason = "n = len.min(1) <= len")]
             Fault::Short => {
                 let n = buf.len().min(1);
-                // reap-lint: allow(panic:index) -- n = len.min(1) <= len
                 self.inner.read(&mut buf[..n])
             }
             Fault::Error => {
@@ -312,7 +312,7 @@ impl<S: Write> Write for ChaosStream<S> {
                 // Mid-frame cut: half the buffer escapes, then the
                 // stream dies. The peer sees a torn frame and an EOF/RST.
                 let n = (buf.len() / 2).max(1).min(buf.len());
-                // reap-lint: allow(panic:index) -- n is clamped to buf.len() on the line above
+                #[expect(clippy::indexing_slicing, reason = "n is clamped to buf.len() above")]
                 let written = self.inner.write(&buf[..n]);
                 let _ = self.inner.flush();
                 self.poisoned = true;

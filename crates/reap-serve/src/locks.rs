@@ -24,7 +24,7 @@
 //! index) still climbs strictly while any two-shard inversion asserts.
 //!
 //! Poisoning: guards recover via [`PoisonError::into_inner`] —
-//! the linter bans panics in this crate, so a poisoned mutex implies a
+//! clippy bans panics in this crate, so a poisoned mutex implies a
 //! panic already escaped the discipline; serving degraded state beats
 //! deadlocking the daemon on top of it.
 
@@ -157,7 +157,7 @@ impl<T> std::ops::Deref for OrderedGuard<'_, T> {
     fn deref(&self) -> &T {
         match &self.guard {
             Some(g) => g,
-            // reap-lint: allow(panic:panic-macro) -- guard invariant: Some outside wait_while internals
+            #[expect(clippy::unreachable, reason = "guard is Some outside wait_while")]
             None => unreachable!("guard invariant"),
         }
     }
@@ -167,7 +167,7 @@ impl<T> std::ops::DerefMut for OrderedGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         match &mut self.guard {
             Some(g) => g,
-            // reap-lint: allow(panic:panic-macro) -- guard invariant: Some outside wait_while internals
+            #[expect(clippy::unreachable, reason = "guard is Some outside wait_while")]
             None => unreachable!("guard invariant"),
         }
     }

@@ -37,7 +37,7 @@ impl LatencyHistogram {
     pub fn record(&self, elapsed: Duration) {
         let us = elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
         let bucket = (63 - us.max(1).leading_zeros() as usize).min(BUCKETS - 1);
-        // reap-lint: allow(panic:index) -- bucket is clamped to BUCKETS - 1 on the line above
+        #[expect(clippy::indexing_slicing, reason = "bucket is clamped to BUCKETS - 1")]
         self.counts[bucket].fetch_add(1, Ordering::Relaxed);
         self.total.fetch_add(1, Ordering::Relaxed);
     }

@@ -740,7 +740,6 @@ fn need_u32(v: Val, key: &str) -> Result<u32, ProtocolError> {
             format!("field {key:?} is not a u32"),
         ));
     }
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     Ok(v as u32)
 }
 
@@ -752,7 +751,6 @@ fn need_u64(v: Val, key: &str) -> Result<u64, ProtocolError> {
             format!("field {key:?} is not an exactly-representable u64"),
         ));
     }
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     Ok(v as u64)
 }
 

@@ -37,6 +37,8 @@
 //! state built from a different fleet (different seed, size, points, or
 //! sources) is refused rather than silently misapplied.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
@@ -66,7 +68,7 @@ pub(crate) fn user_record(state: &UserState) -> [u8; RECORD_BYTES] {
     let mut rec = [0u8; RECORD_BYTES];
     let mut at = 0usize;
     let mut put = |bytes: &[u8]| {
-        // reap-lint: allow(panic:index) -- field offsets sum to RECORD_BYTES (debug-asserted below)
+        #[expect(clippy::indexing_slicing, reason = "field offsets sum to RECORD_BYTES")]
         rec[at..at + bytes.len()].copy_from_slice(bytes);
         at += bytes.len();
     };
@@ -104,7 +106,7 @@ pub fn snapshot(state: &FleetState) -> Vec<u8> {
     out.extend_from_slice(&state.users().to_le_bytes());
     state.for_each_user_in_order(|u| out.extend_from_slice(&user_record(u)));
     let mut digest = Fnv::new();
-    // reap-lint: allow(panic:index) -- the header was just written: out.len() >= HEADER_BYTES
+    #[expect(clippy::indexing_slicing, reason = "out holds the header just written")]
     digest.write_bytes(&out[HEADER_BYTES..]);
     out.extend_from_slice(&digest.finish().to_le_bytes());
     out
@@ -124,7 +126,7 @@ impl<'a> Reader<'a> {
             ));
         }
         let mut buf = [0u8; N];
-        // reap-lint: allow(panic:index) -- bounds checked on entry to take()
+        #[expect(clippy::indexing_slicing, reason = "bounds checked on entry to take()")]
         buf.copy_from_slice(&self.bytes[self.at..self.at + N]);
         self.at += N;
         Ok(buf)
@@ -210,9 +212,9 @@ pub fn restore(state: &FleetState, bytes: &[u8]) -> Result<u32, ProtocolError> {
         ));
     }
     let mut digest = Fnv::new();
-    // reap-lint: allow(panic:index) -- bytes.len() == HEADER_BYTES + records_len + 8 was just checked
+    #[expect(clippy::indexing_slicing, reason = "bytes.len() checked just above")]
     digest.write_bytes(&bytes[HEADER_BYTES..HEADER_BYTES + records_len]);
-    // reap-lint: allow(panic:index) -- same length check: the tail slice is exactly 8 bytes
+    #[expect(clippy::indexing_slicing, reason = "same check: the tail is 8 bytes")]
     let stored = match bytes[HEADER_BYTES + records_len..].try_into() {
         Ok(tail) => u64::from_le_bytes(tail),
         Err(_) => {
@@ -239,7 +241,7 @@ pub fn restore(state: &FleetState, bytes: &[u8]) -> Result<u32, ProtocolError> {
 
     let mut next = decoded.into_iter();
     state.for_each_user_in_order_mut(|u| {
-        // reap-lint: allow(panic:expect) -- users == state.users() was validated; the walk yields exactly that many records
+        #[expect(clippy::expect_used, reason = "users == state.users() was validated")]
         let d = next.next().expect("one decoded record per user");
         u.alloc = d.alloc;
         u.vbat = d.vbat_level;
@@ -402,12 +404,12 @@ pub fn write_atomic_with<L: IoLayer>(path: &Path, bytes: &[u8], layer: &L) -> io
         return Ok(false);
     }
     let half = bytes.len() / 2;
-    // reap-lint: allow(panic:index) -- half = len / 2 <= len
+    #[expect(clippy::indexing_slicing, reason = "half = len / 2 <= len")]
     file.write_all(&bytes[..half])?;
     if layer.crash_at(CrashPoint::TempHalfWritten) {
         return Ok(false);
     }
-    // reap-lint: allow(panic:index) -- half = len / 2 <= len
+    #[expect(clippy::indexing_slicing, reason = "half = len / 2 <= len")]
     file.write_all(&bytes[half..])?;
     if layer.crash_at(CrashPoint::TempWritten) {
         return Ok(false);
@@ -542,7 +544,7 @@ impl SnapshotRing {
     fn prune(&self) -> io::Result<()> {
         let entries = self.entries()?;
         if entries.len() > self.keep {
-            // reap-lint: allow(panic:index) -- entries.len() > keep, so the range end is in-bounds
+            #[expect(clippy::indexing_slicing, reason = "entries.len() > keep")]
             for (_, path) in &entries[..entries.len() - self.keep] {
                 let _ = std::fs::remove_file(path);
             }

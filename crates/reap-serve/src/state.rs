@@ -26,6 +26,8 @@
 //! their results are deterministic whatever the request interleaving
 //! that got there.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 use std::collections::BTreeMap;
 
 use crate::locks::{rank, OrderedLock};
@@ -153,7 +155,7 @@ impl FleetState {
                 }
             };
 
-            // reap-lint: allow(panic:index) -- `u % shards` is < shards == shard_users.len()
+            #[expect(clippy::indexing_slicing, reason = "`u % shards` < shard_users.len()")]
             shard_users[u as usize % shards].push(UserState {
                 alloc: EwmaAllocator::new(),
                 vbat: battery.level().joules(),
@@ -226,10 +228,10 @@ impl FleetState {
             ));
         }
         let shards = self.shards.len();
+        #[expect(clippy::indexing_slicing, reason = "`user % shards` < shards.len()")]
         // reap-lint: acquires(shard)
-        // reap-lint: allow(panic:index) -- `user % shards` is < shards == self.shards.len()
         let mut shard = self.shards[user as usize % shards].lock();
-        // reap-lint: allow(panic:index) -- striping invariant: user < self.users puts `user / shards` in this shard
+        #[expect(clippy::indexing_slicing, reason = "striping: user / shards in bounds")]
         let state = &mut shard.users[user as usize / shards];
         Ok(f(state, &self.table, self.battery))
     }
@@ -408,7 +410,7 @@ impl FleetState {
         let guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
         let shards = guards.len();
         for u in 0..self.users as usize {
-            // reap-lint: allow(panic:index) -- `u % shards` < guards.len(); striping puts `u / shards` in-bounds
+            #[expect(clippy::indexing_slicing, reason = "striping bounds both indices")]
             f(&guards[u % shards].users[u / shards]);
         }
     }
@@ -420,7 +422,7 @@ impl FleetState {
         let mut guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
         let shards = guards.len();
         for u in 0..self.users as usize {
-            // reap-lint: allow(panic:index) -- `u % shards` < guards.len(); striping puts `u / shards` in-bounds
+            #[expect(clippy::indexing_slicing, reason = "striping bounds both indices")]
             f(&mut guards[u % shards].users[u / shards]);
         }
     }

@@ -331,7 +331,6 @@ mod oracle {
                 format!("field {key:?} is not a u32"),
             ));
         }
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         Ok(v as u32)
     }
 
@@ -343,7 +342,6 @@ mod oracle {
                 format!("field {key:?} is not an exactly-representable u64"),
             ));
         }
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         Ok(v as u64)
     }
 

@@ -23,6 +23,8 @@
 //! `HourPlanner` (private to the crate), against the store viewed as a
 //! loss-free battery.
 
+#![cfg_attr(not(test), deny(clippy::cast_precision_loss, clippy::cast_lossless))]
+
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -520,7 +522,6 @@ impl<'s> IntermittentCore<'s> {
             }
             now + (self.e_on() - e) / net
         };
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let cross_s = cross.max(0.0).ceil() as u64;
         let at = cross_s.div_ceil(self.dt) * self.dt;
         // Beyond this hour the rate changes; let the edge re-evaluate.
@@ -734,8 +735,8 @@ impl<'s> IntermittentCore<'s> {
 /// Exact `u64` → `f64` for simulation-clock magnitudes: every time or
 /// count passed here is bounded by `days * 86_400` seconds (or steps),
 /// far below 2^53, so the conversion never rounds.
+#[expect(clippy::cast_precision_loss, reason = "sim times/counts are < 2^53")]
 fn to_f64(v: u64) -> f64 {
-    // reap-lint: allow(unsafe:float-cast) -- callers pass sim times/counts < 2^53; conversion is exact
     v as f64
 }
 

@@ -491,7 +491,6 @@ impl SoaFleet {
 
     /// Steps permuted positions `[a, b)` through every hour. All state is
     /// shard-local and heap-allocated once, before the hour loop.
-    #[allow(clippy::too_many_lines)]
     fn run_shard(&self, a: usize, b: usize) -> Vec<UserOutcome> {
         let nu = b - a;
         let gain = &self.gain[a..b];

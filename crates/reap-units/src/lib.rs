@@ -31,8 +31,8 @@
 //! assert!(sustain < hour);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::cast_precision_loss, clippy::cast_lossless))]
 
 mod energy;
 mod power;

@@ -35,7 +35,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Physical-quantity newtypes (energy, power, time). Re-export of [`reap_units`].
